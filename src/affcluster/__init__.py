@@ -9,7 +9,6 @@ from .seeds import (
     Seed,
     WeightVec,
     initial_seed,
-    mutate_matrix,
     mutate_seed,
     mutation_map_eta,
     principal_extension,
@@ -29,7 +28,6 @@ __all__ = [
     "Seed",
     "WeightVec",
     "initial_seed",
-    "mutate_matrix",
     "mutate_seed",
     "mutation_map_eta",
     "principal_extension",

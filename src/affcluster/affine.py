@@ -20,6 +20,7 @@ from .seeds import (
     Rows,
     WeightVec,
     coroot_scalers,
+    primitive_coroot,
     skew_symmetrizers,
 )
 
@@ -92,88 +93,38 @@ def cartan_matrix(b: Rows) -> Rows:
     )
 
 
-def _det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+def _rref(
+    rows: Sequence[Sequence[int]],
+) -> Tuple[List[List[Fraction]], List[int], Fraction]:
+    """Exact Gauss-Jordan elimination.
 
-
-def solve_linear(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
-    """One exact solution x of  sum_j x_j * columns[j] = target, or None."""
-    nrows = len(target)
-    ncols = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(nrows)]
-    pivots: List[Tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if aug[r][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, c in pivots:
-        x[c] = aug[r][ncols]
-    return x
-
-
-def _kernel_vector(a: Rows) -> Optional[Tuple[Fraction, ...]]:
-    """A nonzero kernel vector when the kernel is 1-dimensional, else None."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] for i in range(n)]
+    Returns the reduced row echelon form, the pivot column of each of its
+    leading rows in order, and the determinant, which is 0 unless the matrix
+    is square and invertible."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows, ncols = len(m), len(m[0])
     pivots: List[int] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if m[r][col] != 0), None)
+    det = Fraction(1)
+    for col in range(ncols):
+        row = len(pivots)
+        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
+        if pivot != row:
+            m[row], m[pivot] = m[pivot], m[row]
+            det = -det
+        det *= m[row][col]
+        inv = 1 / m[row][col]
+        # Cartan-type matrices are sparse: skip the products with zero.
+        prow = m[row] = [v * inv if v else v for v in m[row]]
+        for r in range(nrows):
+            factor = m[r][col]
+            if r != row and factor:
+                m[r] = [a - factor * b if b else a for a, b in zip(m[r], prow)]
         pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        return None
-    f = free[0]
-    x = [Fraction(0)] * n
-    x[f] = Fraction(1)
-    for r, c in enumerate(pivots):
-        x[c] = -m[r][f]
-    return tuple(x)
+    if nrows != ncols or len(pivots) != nrows:
+        det = Fraction(0)
+    return m, pivots, det
 
 
 @dataclass(frozen=True)
@@ -188,21 +139,10 @@ class AffineData:
     delta: RootVec
     e_c: Rows
     e_cinv: Rows
-    cox_root: Rows  # matrix of c in the simple-root basis
 
     @property
     def n(self) -> int:
         return len(self.b)
-
-    @property
-    def symmetric_form(self) -> Rows:
-        """Matrix of K (coroot coordinates left, root coordinates right)."""
-        return self.cartan
-
-    @property
-    def omega(self) -> Rows:
-        """Matrix of omega_c; identical to the exchange matrix."""
-        return self.b
 
     # -- reflections and the Coxeter element --------------------------------
 
@@ -232,14 +172,6 @@ class AffineData:
                 w = self.reflect_weight(r, w)
         return w
 
-    def coxeter_apply(self, v, power: int = 1):
-        """Action of c^power on V (RootVec) or the dual action on V* (WeightVec)."""
-        if isinstance(v, RootVec):
-            return self.coxeter_root(v, power)
-        if isinstance(v, WeightVec):
-            return self.coxeter_weight(v, power)
-        raise TypeError("expected RootVec or WeightVec")
-
     # -- pairings ------------------------------------------------------------
 
     def pair_weight_coroot(self, w: WeightVec, coroot: CorootVec) -> int:
@@ -252,12 +184,7 @@ class AffineData:
 
     def beta_check(self, v: RootVec) -> CorootVec:
         """The primitive coroot parallel to v."""
-        # smallest k with k*m_i/e_i integral for all i
-        k = 1
-        for mi, ei in zip(v.coords, self.e):
-            need = ei // gcd(ei, abs(mi)) if mi else 1
-            k = k * need // gcd(k, need)
-        return CorootVec(tuple(k * mi // ei for mi, ei in zip(v.coords, self.e)))
+        return CorootVec(primitive_coroot(v.coords, self.e))
 
     def omega_form(self, v: RootVec, w: RootVec) -> Fraction:
         """omega_c(v, w) for v, w in V (both in simple-root coordinates)."""
@@ -302,9 +229,6 @@ class AffineData:
             raise AssertionError("nu_c_inv failed to invert")
         return root
 
-    def height(self, v: RootVec) -> int:
-        return sum(v.coords)
-
 
 def build_affine_data(matrix) -> AffineData:
     """Certify acyclicity and affine type, compute delta, forms and c."""
@@ -317,16 +241,21 @@ def build_affine_data(matrix) -> AffineData:
     e = coroot_scalers(b)
     order = source_to_sink_order(b)
     a = cartan_matrix(b)
-    if _det(a) != 0:
+    reduced, pivots, det = _rref(a)
+    if det != 0:
         raise NotAffineType("Cartan determinant is nonzero")
     for size in range(1, n):
         for subset in itertools.combinations(range(n), size):
             minor = tuple(tuple(a[i][j] for j in subset) for i in subset)
-            if _det(minor) <= 0:
+            if _rref(minor)[2] <= 0:
                 raise NotAffineType("a proper principal minor is not positive")
-    kern = _kernel_vector(a)
-    if kern is None:
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
         raise NotAffineType("Cartan corank is not 1")
+    kern = [Fraction(0)] * n
+    kern[free[0]] = Fraction(1)
+    for r, c in enumerate(pivots):
+        kern[c] = -reduced[r][free[0]]
     denom_lcm = 1
     for f in kern:
         denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
@@ -348,15 +277,10 @@ def build_affine_data(matrix) -> AffineData:
         tuple(1 if i == j else -max(b[i][j], 0) for j in range(n)) for i in range(n)
     )
     data = AffineData(
-        b=b, cartan=a, d=d, e=e, order=order, delta=delta,
-        e_c=e_c, e_cinv=e_cinv, cox_root=(),
+        b=b, cartan=a, d=d, e=e, order=order, delta=delta, e_c=e_c, e_cinv=e_cinv,
     )
     cols = [data.coxeter_root(RootVec(tuple(1 if i == j else 0 for i in range(n)))) for j in range(n)]
     cox = tuple(tuple(cols[j].coords[i] for j in range(n)) for i in range(n))
-    data = AffineData(
-        b=b, cartan=a, d=d, e=e, order=order, delta=delta,
-        e_c=e_c, e_cinv=e_cinv, cox_root=cox,
-    )
     # Howlett: E_{c^{-1}} * M_c = -E_c, and c fixes delta.
     for i in range(n):
         for j in range(n):
@@ -421,7 +345,7 @@ class TubeRoot:
 def detect_tubes(data: AffineData, height_bound: Optional[int] = None) -> List[Tube]:
     """Find the tube-simples orbits: finite c-orbits of positive real roots
     summing to delta.  Returns 0 to 3 tubes, each of size >= 2."""
-    ht_delta = data.height(data.delta)
+    ht_delta = data.delta.height()
     if height_bound is None:
         height_bound = 4 * ht_delta
     if height_bound < ht_delta:
@@ -713,13 +637,15 @@ def _tube_profiles(
             return None
         t = ratios.pop()
         return [], t
-    columns: List[List[Fraction]] = []
-    for tube in tubes:
-        for v in tube.orbit:
-            columns.append([Fraction(x) for x in v.coords])
-    sol = solve_linear(columns, [Fraction(x) for x in phi.coords])
-    if sol is None:
+    # Solve the augmented system [orbit vectors | phi]; free unknowns are 0.
+    orbits = [v for tube in tubes for v in tube.orbit]
+    aug = [[v.coords[i] for v in orbits] + [x] for i, x in enumerate(phi.coords)]
+    reduced, pivots, _ = _rref(aug)
+    if len(orbits) in pivots:
         return None
+    sol = [Fraction(0)] * len(orbits)
+    for r, c in enumerate(pivots):
+        sol[c] = reduced[r][-1]
     profiles: List[List[Fraction]] = []
     pos = 0
     total = Fraction(0)

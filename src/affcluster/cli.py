@@ -19,7 +19,12 @@ from typing import Dict, List, Optional, Sequence
 
 from . import gca, scatter2
 from .affine import (
+    HeightBoundTooSmall,
+    NotAcyclic,
+    NotAffineType,
     NotInImaginaryWall,
+    SimplesMismatch,
+    Tube,
     all_arcs,
     cluster_expansion_imaginary,
     maximal_compatible_sets,
@@ -28,23 +33,21 @@ from .affine import (
 from .poly import to_json_dict
 from .seeds import (
     ExtendedExchangeMatrix,
+    NotFound,
     RootVec,
     WeightVec,
+    g_vector_of,
     initial_seed,
     mutate_seed_word,
+    principal_extension,
 )
-from .theta import IdentityViolated, ThetaEngine
+from .theta import IdentityViolated, NonTerminating, ThetaEngine
 
 BUNDLED = ["a1t22", "a1t41", "a1t14", "a2t", "a3t", "a3t22", "a4t", "c2t", "d4t", "e6t"]
 
 
 class ConfigError(Exception):
     pass
-
-
-def _log(msg: str) -> None:
-    if os.environ.get("CLUSTER_LOG"):
-        print(msg, file=sys.stderr)
 
 
 def load_matrix(source: str) -> ExtendedExchangeMatrix:
@@ -70,21 +73,29 @@ def matrix_json(matrix: ExtendedExchangeMatrix) -> dict:
     return {"n": matrix.n, "m": matrix.m, "rows": [list(r) for r in matrix.rows]}
 
 
-def parse_word(text: str) -> List[int]:
+def parse_word(text: str, n: int) -> List[int]:
+    """0-based mutation indices from a comma-separated 1-based word."""
     try:
         word = [int(t) - 1 for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad mutation word: {text}") from exc
     if any(k < 0 for k in word):
         raise ConfigError("mutation indices are 1-based")
+    for k in word:
+        if k >= n:
+            raise ConfigError(f"mutation index {k + 1} exceeds n={n}")
     return word
 
 
-def parse_vec(text: str) -> List[int]:
+def parse_vec(text: str, n: int) -> List[int]:
+    """A comma-separated integer vector with exactly n coordinates."""
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        vec = [int(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad vector: {text}") from exc
+    if len(vec) != n:
+        raise ConfigError(f"vector {text} must have {n} coordinates")
+    return vec
 
 
 def emit(payload: dict, fmt: str) -> None:
@@ -100,10 +111,7 @@ def emit(payload: dict, fmt: str) -> None:
 
 def cmd_mutate(args) -> int:
     matrix = load_matrix(args.matrix)
-    word = parse_word(args.word)
-    for k in word:
-        if k >= matrix.n:
-            raise ConfigError(f"mutation index {k + 1} exceeds n={matrix.n}")
+    for k in parse_word(args.word, matrix.n):
         matrix = matrix.mutate(k)
     emit({"matrix": matrix_json(matrix)}, args.format)
     return 0
@@ -111,39 +119,39 @@ def cmd_mutate(args) -> int:
 
 def cmd_gvec(args) -> int:
     matrix = load_matrix(args.matrix)
-    seed = mutate_seed_word(initial_seed(matrix), parse_word(args.word))
-    from .seeds import g_vector_of
-
+    # g-vectors are read off pointed forms, which need principal coefficients.
+    if matrix != principal_extension(matrix.top()):
+        raise ConfigError("gvec needs principal coefficients (an identity block below B)")
+    seed = mutate_seed_word(initial_seed(matrix), parse_word(args.word, matrix.n))
     gvecs = [list(g_vector_of(seed, i).coords) for i in range(matrix.n)]
     emit({"gvectors": gvecs}, args.format)
     return 0
 
 
-def cmd_tube_info(args) -> int:
-    eng = ThetaEngine(load_matrix(args.matrix).top(), height_bound=args.height_bound)
-    tubes = []
-    for tube in eng.tubes:
-        arcs = [
+def _tube_table(eng: ThetaEngine, tube: Tube, label_key: str) -> dict:
+    """A tube's size, orbit and arc table; each arc's nu_c image is stored
+    under label_key.  Key order is kept because text output prints it."""
+    arcs = []
+    for r in all_arcs(tube):
+        vec = tube_root_vector(tube, r)
+        arcs.append(
             {
                 "start": r.start,
                 "length": r.length,
-                "vector": list(tube_root_vector(tube, r).coords),
-                "label": list(eng.data.nu_c(tube_root_vector(tube, r)).coords),
-            }
-            for r in all_arcs(tube)
-        ]
-        tubes.append(
-            {
-                "size": tube.size,
-                "orbit": [list(v.coords) for v in tube.orbit],
-                "arcs": arcs,
+                "vector": list(vec.coords),
+                label_key: list(eng.data.nu_c(vec).coords),
             }
         )
+    return {"size": tube.size, "orbit": [list(v.coords) for v in tube.orbit], "arcs": arcs}
+
+
+def cmd_tube_info(args) -> int:
+    eng = ThetaEngine(load_matrix(args.matrix).top(), height_bound=args.height_bound)
     emit(
         {
             "delta": list(eng.data.delta.coords),
             "nu_delta": list(eng.data.nu_c(eng.data.delta).coords),
-            "tubes": tubes,
+            "tubes": [_tube_table(eng, tube, "label") for tube in eng.tubes],
         },
         args.format,
     )
@@ -152,9 +160,7 @@ def cmd_tube_info(args) -> int:
 
 def cmd_expand(args) -> int:
     eng = ThetaEngine(load_matrix(args.matrix).top())
-    phi = RootVec(tuple(parse_vec(args.root)))
-    if len(phi.coords) != eng.n:
-        raise ConfigError(f"root must have {eng.n} coordinates")
+    phi = RootVec(tuple(parse_vec(args.root, eng.n)))
     m_delta, arcs = cluster_expansion_imaginary(eng.data, eng.tubes, phi)
     emit(
         {
@@ -173,9 +179,12 @@ def _parse_target(eng: ThetaEngine, text: str) -> WeightVec:
     text = text.strip()
     if text.endswith("delta"):
         head = text[: -len("delta")].rstrip("* ")
-        k = int(head) if head else 1
+        try:
+            k = int(head) if head else 1
+        except ValueError as exc:
+            raise ConfigError(f"bad target: {text}") from exc
         return eng.data.nu_c(eng.data.delta).scale(k)
-    return WeightVec(tuple(parse_vec(text)))
+    return WeightVec(tuple(parse_vec(text, eng.n)))
 
 
 def cmd_theta(args) -> int:
@@ -220,22 +229,27 @@ def cmd_theta2(args) -> int:
     if matrix.n != 2:
         raise ConfigError("theta2 requires a rank-2 matrix")
     diagram = scatter2.complete_scattering_rank2(matrix.top(), args.order)
-    lam = WeightVec(tuple(parse_vec(args.lam)))
+    lam = WeightVec(tuple(parse_vec(args.lam, 2)))
     poly = scatter2.theta_via_broken_lines(diagram, lam)
     emit({"lambda": list(lam.coords), "theta": str(poly), "json": to_json_dict(poly)}, args.format)
     return 0
+
+
+def _tube_graph(eng: ThetaEngine, tube: Tube) -> gca.ExchangeGraph:
+    """Exchange graph from the tube's least maximal compatible set."""
+    j0 = min(maximal_compatible_sets(tube), key=lambda s: sorted(s))
+    seed, labels = gca.build_tube_seed(eng.tubes, j0)
+    return gca.enumerate_exchange_graph(eng.tubes, seed, labels)
 
 
 def cmd_gca_graph(args) -> int:
     eng = ThetaEngine(load_matrix(args.matrix).top())
     if not eng.tubes:
         raise ConfigError("matrix has no tubes")
-    if args.tube >= len(eng.tubes):
+    if not 0 <= args.tube < len(eng.tubes):
         raise ConfigError(f"tube index out of range (found {len(eng.tubes)} tubes)")
     tube = eng.tubes[args.tube]
-    j0 = min(maximal_compatible_sets(tube), key=lambda s: sorted(s))
-    seed, labels = gca.build_tube_seed(eng.tubes, j0)
-    graph = gca.enumerate_exchange_graph(eng.tubes, seed, labels)
+    graph = _tube_graph(eng, tube)
     payload = {
         "tube": args.tube,
         "size": tube.size,
@@ -258,9 +272,7 @@ def cmd_gca_verify(args) -> int:
         raise ConfigError("matrix has no tubes")
     report = {}
     for tube in eng.tubes:
-        j0 = min(maximal_compatible_sets(tube), key=lambda s: sorted(s))
-        seed, labels = gca.build_tube_seed(eng.tubes, j0)
-        graph = gca.enumerate_exchange_graph(eng.tubes, seed, labels)
+        graph = _tube_graph(eng, tube)
         expected = len(maximal_compatible_sets(tube))
         if len(graph.vertices) != expected:
             print(f"FAIL tube {tube.index}: {len(graph.vertices)} != {expected}")
@@ -373,7 +385,6 @@ def cmd_verify(args) -> int:
     names = IDENTITIES if args.identity == "all" else [args.identity]
     failures: Dict[str, List[str]] = {}
     for name in sorted(names):
-        _log(f"verifying {name}")
         try:
             bad = run_identity(eng, name, kmax=args.kmax)
         except IdentityViolated as exc:
@@ -389,27 +400,10 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     matrix = load_matrix(args.matrix)
     eng = ThetaEngine(matrix.top())
-    tubes = []
-    for tube in eng.tubes:
-        arcs = []
-        for r in all_arcs(tube):
-            vec = tube_root_vector(tube, r)
-            arcs.append(
-                {
-                    "start": r.start,
-                    "length": r.length,
-                    "vector": list(vec.coords),
-                    "nu_c": list(eng.data.nu_c(vec).coords),
-                }
-            )
-        tubes.append(
-            {
-                "size": tube.size,
-                "orbit": [list(v.coords) for v in tube.orbit],
-                "arcs": arcs,
-                "max_compatible_sets": len(maximal_compatible_sets(tube)),
-            }
-        )
+    tubes = [
+        {**_tube_table(eng, tube, "nu_c"), "max_compatible_sets": len(maximal_compatible_sets(tube))}
+        for tube in eng.tubes
+    ]
     payload = {
         "matrix": matrix_json(matrix),
         "delta": list(eng.data.delta.coords),
@@ -500,10 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from .affine import HeightBoundTooSmall, SimplesMismatch
-    from .seeds import NotFound
-    from .theta import NonTerminating
-
+    """Run one subcommand.  Exit 2 for bad input, including inputs the
+    engine rejects (not acyclic or affine, targets it cannot reach or place);
+    exit 1 for a failed identity.  Any other exception is an engine bug and
+    propagates with its traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -514,7 +508,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (IdentityViolated, NonTerminating) as exc:
         print(f"identity violated: {exc}", file=sys.stderr)
         return 1
-    except (NotFound, NotInImaginaryWall, HeightBoundTooSmall, SimplesMismatch, ValueError) as exc:
+    except (
+        NotAcyclic, NotAffineType, NotFound, NotInImaginaryWall, HeightBoundTooSmall, SimplesMismatch
+    ) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

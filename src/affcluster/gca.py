@@ -227,20 +227,32 @@ def build_tube_seed(
     return seed, ordered
 
 
-def _exchange_numerator(seed: GCASeed, k: int) -> LaurentPoly:
-    """sum_l p_{k;l} prod_psi x_psi^{[b_psi_k]_+ - l b_psi_k / d_k}."""
-    gctx = seed.gctx
+def _exchange_exponents(seed: GCASeed, k: int) -> List[Dict[int, int]]:
+    """Per l = 0..d_k, the nonzero exponents [b_psi_k]_+ - l b_psi_k / d_k of
+    the exchange monomial, keyed by position psi."""
     d = seed.d[k]
-    total = LaurentPoly.zero(gctx.ctx)
+    out: List[Dict[int, int]] = []
     for ell in range(d + 1):
-        term = gctx.monomial(seed.p[k][ell])
+        exps: Dict[int, int] = {}
         for psi in range(seed.rank):
             bpk = seed.b[psi][k]
             if bpk % d != 0:
                 raise AssertionError("column divisibility violated")
             epow = max(bpk, 0) - ell * (bpk // d)
             if epow:
-                term = term * seed.x[psi] ** epow
+                exps[psi] = epow
+        out.append(exps)
+    return out
+
+
+def _exchange_numerator(seed: GCASeed, k: int) -> LaurentPoly:
+    """sum_l p_{k;l} prod_psi x_psi^{[b_psi_k]_+ - l b_psi_k / d_k}."""
+    gctx = seed.gctx
+    total = LaurentPoly.zero(gctx.ctx)
+    for ell, exps in enumerate(_exchange_exponents(seed, k)):
+        term = gctx.monomial(seed.p[k][ell])
+        for psi, epow in exps.items():
+            term = term * seed.x[psi] ** epow
         total = total + term
     return total
 
@@ -288,13 +300,12 @@ def enumerate_exchange_graph(
     seed: GCASeed,
     labels: Tuple[TubeRoot, ...],
     max_vertices: int = 20000,
-    check_built: bool = True,
 ) -> ExchangeGraph:
     """BFS over generalized seed mutation.
 
-    Arc labels are carried along via exchange_partner; when check_built is
-    set, every mutated seed is compared against the seed built directly from
-    its arc set, which also keeps the labels honest.
+    Arc labels are carried along via exchange_partner; every mutated seed is
+    compared against the seed built directly from its arc set, which also
+    keeps the labels honest.
     The graph is finite for tube seeds; exceeding max_vertices aborts loudly."""
     tube_by_index = {t.index: t for t in tubes}
     index: Dict[object, int] = {seed.key(): 0}
@@ -312,19 +323,18 @@ def enumerate_exchange_graph(
                 same_tube = [r for r in labs if r.tube == gamma.tube]
                 gamma2 = exchange_partner(tube, same_tube, gamma)
                 labs2 = tuple(gamma2 if i == k else r for i, r in enumerate(labs))
-                if check_built:
-                    built, order = build_tube_seed(tubes, labs2, s.gctx)
-                    perm = [order.index(r) for r in labs2]
-                    if tuple(built.d[q] for q in perm) != s2.d:
-                        raise AssertionError("mutated degrees disagree with built seed")
-                    if tuple(built.p[q] for q in perm) != s2.p:
-                        raise AssertionError("mutated coefficients disagree with built seed")
-                    rebuilt_b = tuple(
-                        tuple(built.b[perm[i]][perm[j]] for j in range(s2.rank))
-                        for i in range(s2.rank)
-                    )
-                    if rebuilt_b != s2.b:
-                        raise AssertionError("mutated matrix disagrees with built seed")
+                built, order = build_tube_seed(tubes, labs2, s.gctx)
+                perm = [order.index(r) for r in labs2]
+                if tuple(built.d[q] for q in perm) != s2.d:
+                    raise AssertionError("mutated degrees disagree with built seed")
+                if tuple(built.p[q] for q in perm) != s2.p:
+                    raise AssertionError("mutated coefficients disagree with built seed")
+                rebuilt_b = tuple(
+                    tuple(built.b[perm[i]][perm[j]] for j in range(s2.rank))
+                    for i in range(s2.rank)
+                )
+                if rebuilt_b != s2.b:
+                    raise AssertionError("mutated matrix disagrees with built seed")
                 key = s2.key()
                 if key not in index:
                     if len(graph.vertices) >= max_vertices:
@@ -347,16 +357,10 @@ def exchange_relation_arcs(
     tube = next(t for t in tubes if t.index == gamma.tube)
     same_tube = [r for r in labels if r.tube == gamma.tube]
     gamma2 = exchange_partner(tube, same_tube, gamma)
-    d = seed.d[k]
-    rhs = []
-    for ell in range(d + 1):
-        powers: Dict[TubeRoot, int] = {}
-        for psi in range(seed.rank):
-            bpk = seed.b[psi][k]
-            epow = max(bpk, 0) - ell * (bpk // d)
-            if epow:
-                powers[labels[psi]] = epow
-        rhs.append((seed.p[k][ell], powers))
+    rhs = [
+        (seed.p[k][ell], {labels[psi]: epow for psi, epow in exps.items()})
+        for ell, exps in enumerate(_exchange_exponents(seed, k))
+    ]
     return gamma, gamma2, rhs
 
 

@@ -8,14 +8,14 @@ representation is exact and identity testing is fully reliable.
 
 Every polynomial belongs to a VarContext naming two groups of variables:
 n "cluster" variables followed by m "tropical" variables.  The split only
-matters to pointed_form and clear-style operations; arithmetic treats all
+matters to pointed_form and clear_tropical; arithmetic treats all
 n+m positions alike.  The zero polynomial is the empty dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -62,10 +62,13 @@ class VarContext:
         return self.names.index(name)
 
 
+def _default_names(n: int, m: int) -> Tuple[str, ...]:
+    return tuple(f"x{i+1}" for i in range(n)) + tuple(f"u{i+1}" for i in range(m))
+
+
 def default_context(n: int, m: int) -> VarContext:
     """Context named x1..xn, u1..um."""
-    names = tuple(f"x{i+1}" for i in range(n)) + tuple(f"u{i+1}" for i in range(m))
-    return VarContext(n, m, names)
+    return VarContext(n, m, _default_names(n, m))
 
 
 def _grlex_key(e: Exponent) -> Tuple[int, Exponent]:
@@ -194,22 +197,10 @@ class LaurentPoly:
         cols = zip(*self.terms.keys())
         return tuple(min(col) for col in cols)
 
-    def max_exponents(self) -> Exponent:
-        if not self.terms:
-            return (0,) * self.ctx.nvars
-        cols = zip(*self.terms.keys())
-        return tuple(max(col) for col in cols)
-
     def leading(self) -> Tuple[Exponent, int]:
         """Graded-lex leading term."""
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
-
-    def coefficient_of(self, predicate: Callable[[Exponent], bool]) -> "LaurentPoly":
-        return LaurentPoly(self.ctx, {e: c for e, c in self.terms.items() if predicate(e)})
-
-    def total_degree_in(self, positions: Iterable[int], e: Exponent) -> int:
-        return sum(e[i] for i in positions)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
@@ -268,15 +259,6 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return q.shift(tuple(x - y for x, y in zip(ma, mb)))
 
 
-def divides(a: LaurentPoly, b: LaurentPoly) -> bool:
-    """True when b divides a exactly."""
-    try:
-        exact_div(a, b)
-        return True
-    except NotDivisible:
-        return False
-
-
 def substitute(p: LaurentPoly, images: Mapping[int, LaurentPoly]) -> LaurentPoly:
     """Apply the ring homomorphism sending variable i to images[i].
 
@@ -324,13 +306,14 @@ def substitute(p: LaurentPoly, images: Mapping[int, LaurentPoly]) -> LaurentPoly
     return out
 
 
-def pointed_form(p: LaurentPoly) -> Tuple[Tuple[int, ...], LaurentPoly]:
-    """Split p as x^g * tail with tail constant term 1.
+def pointed_split(p: LaurentPoly) -> Tuple[Tuple[int, ...], LaurentPoly]:
+    """Split p as x^g * tail with tail constant term 1, tail signs unchecked.
 
     The candidate x^g is the unique term free of the tropical variables; its
-    coefficient must be 1, and after factoring it out every remaining term
-    must carry only nonnegative tropical exponents.  Returns (g, tail) where
-    g is the exponent vector on the cluster variables.  Raises NotPointed.
+    coefficient must be 1.  Theta functions for a mutated extended matrix
+    split this way although their tails carry mixed tropical signs.  Returns
+    (g, tail) where g is the exponent vector on the cluster variables.
+    Raises NotPointed.
     """
     ctx = p.ctx
     trop = range(ctx.n, ctx.nvars)
@@ -340,11 +323,17 @@ def pointed_form(p: LaurentPoly) -> Tuple[Tuple[int, ...], LaurentPoly]:
     g_full = free[0]
     if p.terms[g_full] != 1:
         raise NotPointed("tropical-free term has coefficient != 1")
-    tail = p.shift(tuple(-x for x in g_full))
+    return g_full[: ctx.n], p.shift(tuple(-x for x in g_full))
+
+
+def pointed_form(p: LaurentPoly) -> Tuple[Tuple[int, ...], LaurentPoly]:
+    """pointed_split, and every tail term must carry only nonnegative
+    tropical exponents.  Raises NotPointed."""
+    g, tail = pointed_split(p)
     for e in tail.terms:
-        if any(e[i] < 0 for i in trop):
+        if any(x < 0 for x in e[p.ctx.n :]):
             raise NotPointed("tail term with negative tropical exponent")
-    return g_full[: ctx.n], tail
+    return g, tail
 
 
 def clear_tropical(p: LaurentPoly) -> LaurentPoly:
@@ -368,11 +357,16 @@ def to_json_dict(p: LaurentPoly) -> dict:
 
 
 def from_json_dict(d: dict, ctx: VarContext | None = None) -> LaurentPoly:
+    """Inverse of to_json_dict.  Without ctx the variables must carry the
+    default names x1..xn, u1..um, which alone tell where the cluster
+    variables end; any other naming raises ContextMismatch."""
     names = tuple(d["vars"])
     if ctx is None:
-        # Recover the n/m split from the default naming convention; callers
-        # with custom names must pass their context explicitly.
         n = sum(1 for s in names if s.startswith("x"))
+        if names != _default_names(n, len(names) - n):
+            raise ContextMismatch(
+                "JSON variables are not named x1..xn, u1..um; pass their VarContext"
+            )
         ctx = VarContext(n, len(names) - n, names)
     elif ctx.names != names:
         raise ContextMismatch("JSON variable list does not match context")

@@ -16,7 +16,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import LaurentPoly, VarContext, default_context
-from .seeds import Rows, WeightVec, coroot_scalers
+from .seeds import Rows, WeightVec, coroot_scalers, primitive_coroot
 
 Vec2 = Tuple[int, int]
 
@@ -85,11 +85,7 @@ class ScatteringDiagram2:
 
     def coroot(self, beta: Vec2) -> Vec2:
         """Coordinates of the primitive coroot parallel to beta."""
-        k = 1
-        for mi, ei in zip(beta, self.e):
-            need = ei // gcd(ei, abs(mi)) if mi else 1
-            k = k * need // gcd(k, need)
-        return (k * beta[0] // self.e[0], k * beta[1] // self.e[1])
+        return primitive_coroot(beta, self.e)
 
     def outgoing_direction(self, beta: Vec2) -> Vec2:
         """Direction of the added wall with normal beta: the ray of -B beta."""
@@ -110,9 +106,7 @@ class ScatteringDiagram2:
             wall._pows = cache  # type: ignore[attr-defined]
         if e not in cache:
             if e >= 0:
-                out = self._one()
-                for _ in range(e):
-                    out = self.truncate(out * wall.series)
+                out = self._power_of(wall.series, e)
             else:
                 g = wall.series - self._one()
                 inv = self._one()
@@ -153,12 +147,16 @@ class ScatteringDiagram2:
 
     _BASE = (7, 3)  # interior of the positive chamber, off every wall
 
-    def _crossings(self) -> List[Tuple[Vec2, Wall2]]:
+    def _sites(self) -> List[Tuple[Vec2, Wall2]]:
+        """(direction, wall) per ray of every wall; a full line gives two."""
         sites: List[Tuple[Vec2, Wall2]] = []
         for w in self.walls:
             sites.append((w.direction, w))
             if w.is_line:
                 sites.append(((-w.direction[0], -w.direction[1]), w))
+        return sites
+
+    def _crossings(self) -> List[Tuple[Vec2, Wall2]]:
         base = self._BASE
 
         def compare(a: Tuple[Vec2, Wall2], b: Tuple[Vec2, Wall2]) -> int:
@@ -170,7 +168,7 @@ class ScatteringDiagram2:
             c = _cross(va, vb)
             return 0 if c == 0 else (-1 if c > 0 else 1)
 
-        return sorted(sites, key=cmp_to_key(compare))
+        return sorted(self._sites(), key=cmp_to_key(compare))
 
     def loop_product(self, generator: int) -> LaurentPoly:
         """Image of x^{rho_generator} under the full counterclockwise loop."""
@@ -269,15 +267,6 @@ class BrokenLine2:
     tropical: Vec2  # final u-exponent (beta_s)
 
 
-def _sites(diagram: ScatteringDiagram2) -> List[Tuple[Vec2, Wall2]]:
-    sites: List[Tuple[Vec2, Wall2]] = []
-    for w in diagram.walls:
-        sites.append((w.direction, w))
-        if w.is_line:
-            sites.append(((-w.direction[0], -w.direction[1]), w))
-    return sites
-
-
 def enumerate_broken_lines_rank2(
     diagram: ScatteringDiagram2,
     lam: WeightVec,
@@ -295,7 +284,7 @@ def enumerate_broken_lines_rank2(
         raise ValueError("lambda must be nonzero")
     if order is None:
         order = diagram.order
-    sites = _sites(diagram)
+    sites = diagram._sites()
     out: List[BrokenLine2] = []
 
     def final_check(path, lam_cur, scale) -> bool:

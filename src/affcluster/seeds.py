@@ -11,13 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .poly import (
     LaurentPoly,
-    NotPointed,
     VarContext,
-    clear_tropical,
     default_context,
     exact_div,
     pointed_form,
@@ -42,51 +40,41 @@ class NotFound(LookupError):
         self.depth = depth
 
 
+V = TypeVar("V", bound="_IntVec")
+
+
 @dataclass(frozen=True)
-class RootVec:
-    """Integer vector in the simple-root basis."""
+class _IntVec:
+    """Integer coordinate vector; arithmetic keeps the subclass, and vectors
+    of different subclasses (bases) never compare equal."""
 
     coords: Tuple[int, ...]
 
-    def __add__(self, other: "RootVec") -> "RootVec":
-        return RootVec(tuple(a + b for a, b in zip(self.coords, other.coords)))
+    def __add__(self: V, other: V) -> V:
+        return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "RootVec") -> "RootVec":
-        return RootVec(tuple(a - b for a, b in zip(self.coords, other.coords)))
+    def __sub__(self: V, other: V) -> V:
+        return type(self)(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "RootVec":
-        return RootVec(tuple(-a for a in self.coords))
+    def __neg__(self: V) -> V:
+        return type(self)(tuple(-a for a in self.coords))
 
-    def scale(self, k: int) -> "RootVec":
-        return RootVec(tuple(k * a for a in self.coords))
+    def scale(self: V, k: int) -> V:
+        return type(self)(tuple(k * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
+
+
+class RootVec(_IntVec):
+    """Integer vector in the simple-root basis."""
 
     def height(self) -> int:
         return sum(self.coords)
 
 
-@dataclass(frozen=True)
-class WeightVec:
+class WeightVec(_IntVec):
     """Integer vector in the fundamental-weight basis."""
-
-    coords: Tuple[int, ...]
-
-    def __add__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "WeightVec":
-        return WeightVec(tuple(-a for a in self.coords))
-
-    def scale(self, k: int) -> "WeightVec":
-        return WeightVec(tuple(k * a for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
 
 
 @dataclass(frozen=True)
@@ -96,11 +84,15 @@ class CorootVec:
     coords: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CoweightVec:
-    """Integer vector in the fundamental-coweight basis."""
-
-    coords: Tuple[int, ...]
+def primitive_coroot(v: Sequence[int], e: Sequence[int]) -> Tuple[int, ...]:
+    """Simple-coroot coordinates of the primitive coroot parallel to the root
+    v, given the scalers e_i with alpha_i_check = e_i alpha_i."""
+    # smallest k with k*v_i/e_i integral for all i
+    k = 1
+    for vi, ei in zip(v, e):
+        need = ei // gcd(ei, abs(vi)) if vi else 1
+        k = k * need // gcd(k, need)
+    return tuple(k * vi // ei for vi, ei in zip(v, e))
 
 
 def _pos(x: int) -> int:
@@ -131,18 +123,13 @@ class ExtendedExchangeMatrix:
     def bottom(self) -> Rows:
         return self.rows[self.n :]
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def mutate(self, k: int) -> "ExtendedExchangeMatrix":
-        return ExtendedExchangeMatrix(mutate_rows(self.rows, k, self.n), self.n)
+        return ExtendedExchangeMatrix(mutate_rows(self.rows, k), self.n)
 
 
-def mutate_rows(rows: Rows, k: int, n: Optional[int] = None) -> Rows:
+def mutate_rows(rows: Rows, k: int) -> Rows:
     """Matrix mutation in direction k applied to all rows of a tall matrix."""
     ncols = len(rows[0])
-    if n is None:
-        n = ncols
     if not 0 <= k < ncols:
         raise IndexError(f"mutation index {k} out of range")
     out = []
@@ -155,10 +142,6 @@ def mutate_rows(rows: Rows, k: int, n: Optional[int] = None) -> Rows:
                 new.append(row[j] + _pos(-row[k]) * rows[k][j] + row[k] * _pos(rows[k][j]))
         out.append(tuple(new))
     return tuple(out)
-
-
-def mutate_matrix(matrix: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
-    return matrix.mutate(k)
 
 
 def skew_symmetrizers(b: Rows) -> Tuple[Fraction, ...]:
@@ -223,7 +206,6 @@ class Seed:
 
     matrix: ExtendedExchangeMatrix
     cluster: Tuple[LaurentPoly, ...]
-    history: Tuple[int, ...] = ()
 
     @property
     def ctx(self) -> VarContext:
@@ -253,18 +235,6 @@ def tropical_monomial(ctx: VarContext, exps: Sequence[int], coeff: int = 1) -> L
     for i, x in enumerate(exps):
         e[ctx.n + i] = x
     return LaurentPoly.monomial(ctx, e, coeff)
-
-
-def y_hat(seed: Seed, k: int) -> LaurentPoly:
-    """The full k-th column monomial: y_k times the cluster-variable part.
-
-    Only valid when every cluster variable with negative column entry is a
-    monomial; general mutation avoids this helper."""
-    ctx = seed.ctx
-    mono = tropical_monomial(ctx, [seed.matrix.rows[seed.matrix.n + i][k] for i in range(seed.matrix.m)])
-    for i in range(seed.matrix.n):
-        mono = mono * seed.cluster[i] ** seed.matrix.rows[i][k]
-    return mono
 
 
 def exchange_rhs(seed: Seed, k: int) -> LaurentPoly:
@@ -301,7 +271,7 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     cluster = tuple(
         new_var if i == k else v for i, v in enumerate(seed.cluster)
     )
-    return Seed(seed.matrix.mutate(k), cluster, seed.history + (k,))
+    return Seed(seed.matrix.mutate(k), cluster)
 
 
 def mutate_seed_word(seed: Seed, word: Iterable[int]) -> Seed:
@@ -317,7 +287,7 @@ def mutation_map_eta(b: Rows, word: Sequence[int], v: WeightVec) -> WeightVec:
     transposed = tuple(tuple(b[j][i] for j in range(n)) for i in range(n))
     rows = transposed + (tuple(v.coords),)
     for k in word:
-        rows = mutate_rows(rows, k, n)
+        rows = mutate_rows(rows, k)
     return WeightVec(rows[n])
 
 
@@ -326,27 +296,10 @@ def sink_to_source_word(order: Sequence[int]) -> Tuple[int, ...]:
     return tuple(reversed(tuple(order)))
 
 
-def g_vector_of(seed: Seed, i: int, strict: bool = True) -> WeightVec:
+def g_vector_of(seed: Seed, i: int) -> WeightVec:
     """Pointed exponent of cluster variable i (principal coefficients)."""
-    g, _tail = pointed_form_flexible(seed.cluster[i], strict=strict)
+    g, _tail = pointed_form(seed.cluster[i])
     return WeightVec(g)
-
-
-def pointed_form_flexible(p: LaurentPoly, strict: bool = True):
-    """pointed_form, optionally skipping the nonnegative-tropical-tail check.
-
-    Theta functions for a mutated extended matrix are still pointed (unique
-    tropical-free term with coefficient 1) but their tails involve mutated
-    coefficient monomials with mixed signs."""
-    if strict:
-        return pointed_form(p)
-    ctx = p.ctx
-    trop = range(ctx.n, ctx.nvars)
-    free = [e for e in p.terms if all(e[i] == 0 for i in trop)]
-    if len(free) != 1 or p.terms[free[0]] != 1:
-        raise NotPointed("no unique unit tropical-free term")
-    g_full = free[0]
-    return g_full[: ctx.n], p.shift(tuple(-x for x in g_full))
 
 
 def denominator_vector_of(p: LaurentPoly) -> RootVec:
@@ -361,11 +314,6 @@ def denominator_vector_of(p: LaurentPoly) -> RootVec:
             if best[i] is None or v > best[i]:
                 best[i] = v
     return RootVec(tuple(int(x) for x in best))  # type: ignore[arg-type]
-
-
-def clear(p: LaurentPoly) -> LaurentPoly:
-    """Minimal tropical-monomial rescaling removing negative u exponents."""
-    return clear_tropical(p)
 
 
 # -- g-vector search ---------------------------------------------------------
@@ -409,7 +357,7 @@ def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
                     eps = -1
                 else:
                     raise UnsignedColumn("sign-coherence violated (bug)")
-                rows2 = mutate_rows(rows, k, n)
+                rows2 = mutate_rows(rows, k)
                 g2 = _g_mutate(b_top, g, eps, k)
                 state = (rows2, g2)
                 if state in seen:

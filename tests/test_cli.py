@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
+from affcluster import cli
 from affcluster.cli import main
+from affcluster.poly import NotPointed
 
 
 def run(capsys, *argv):
@@ -138,6 +142,37 @@ def test_non_affine_matrix_exits_2(tmp_path, capsys):
     path.write_text('{"n": 2, "m": 2, "rows": [[0,1],[-1,0],[1,0],[0,1]]}')
     code, _ = run(capsys, "report", "--matrix", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gvec", "--matrix", "a2t", "--word", "5"),
+        ("theta", "--matrix", "a3t", "--target", "1,2"),
+        ("theta2", "--matrix", "a1t22", "--lambda", "1"),
+        ("gca-graph", "--matrix", "a3t", "--tube", "-1"),
+        ("theta", "--matrix", "a3t", "--target", "x*delta"),
+    ],
+)
+def test_malformed_word_vector_or_index_exits_2(capsys, argv):
+    assert main(list(argv)) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_gvec_without_principal_coefficients_exits_2(tmp_path, capsys):
+    path = tmp_path / "coefficient_free.json"
+    path.write_text('{"n": 2, "m": 0, "rows": [[0,2],[-2,0]]}')
+    code, _ = run(capsys, "gvec", "--matrix", str(path), "--word", "1")
+    assert code == 2
+
+
+def test_engine_bug_is_not_a_configuration_error(monkeypatch):
+    def broken(args):
+        raise NotPointed("engine bug")
+
+    monkeypatch.setattr(cli, "cmd_report", broken)
+    with pytest.raises(NotPointed):
+        main(["report", "--matrix", "a2t"])
 
 
 def test_expand_outside_wall_exits_2(capsys):

@@ -6,12 +6,14 @@ import pytest
 from affcluster.affine import TubeRoot, maximal_compatible_sets
 from affcluster.gca import (
     TropMonomial,
+    _exchange_numerator,
     build_tube_seed,
     enumerate_exchange_graph,
     gca_mutate,
     t_o_check,
     trop_add,
 )
+from affcluster.poly import ContextMismatch, from_json_dict, to_json_dict
 from affcluster.theta import ThetaEngine
 
 B_A2T = ((0, 1, 1), (-1, 0, 1), (-1, -1, 0))
@@ -104,8 +106,6 @@ def test_top_row_exchange_relation():
     jset = [TubeRoot(0, 1, l) for l in (1, 2, 3)]
     seed, labels = build_tube_seed(eng.tubes, jset)
     k = labels.index(TubeRoot(0, 1, 3))  # the maximal root
-    from affcluster.gca import _exchange_numerator
-
     num = _exchange_numerator(seed, k)
     gctx = seed.gctx
     phi = seed.x[labels.index(TubeRoot(0, 1, 2))]
@@ -117,6 +117,16 @@ def test_top_row_exchange_relation():
         + gctx.monomial(seed.p[k][2])
     )
     assert num == expected
+
+
+def test_gca_polynomial_json_roundtrip_with_context():
+    eng = ThetaEngine(B_A3T)
+    seed, _labels = build_tube_seed(eng.tubes, sorted(maximal_compatible_sets(eng.tubes[0]))[0])
+    num = _exchange_numerator(seed, 0)
+    ctx = seed.gctx.ctx
+    assert from_json_dict(to_json_dict(num), ctx) == num
+    with pytest.raises(ContextMismatch):
+        from_json_dict(to_json_dict(num))
 
 
 def test_mutated_coefficients_match_displayed_computation():

@@ -10,6 +10,7 @@ from affcluster.poly import (
     NonInvertibleImage,
     NotDivisible,
     NotPointed,
+    VarContext,
     clear_tropical,
     default_context,
     exact_div,
@@ -196,6 +197,17 @@ def test_json_roundtrip():
         blob = to_json_dict(p)
         assert from_json_dict(blob, CTX) == p
     assert to_json_dict(LaurentPoly.zero(CTX))["terms"] == []
+
+
+def test_json_without_context_needs_default_names():
+    p = mono((1, -1, 0, 2), 3) + mono((0, 0, 1, 0))
+    back = from_json_dict(to_json_dict(p))
+    assert back == p and back.ctx == CTX
+    custom = VarContext(2, 1, ("x1", "x2", "xs"))
+    with pytest.raises(ContextMismatch):
+        from_json_dict(to_json_dict(LaurentPoly.var(custom, 2)))
+    with pytest.raises(ContextMismatch):
+        from_json_dict({"vars": ["a1", "z0_0", "zs"], "terms": []})
 
 
 def test_canonical_printing_deterministic():
