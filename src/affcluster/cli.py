@@ -202,10 +202,16 @@ def cmd_theta(args) -> int:
     return 0
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ConfigError(f"--order must be nonnegative, got {order}")
+
+
 def cmd_scatter2(args) -> int:
     matrix = load_matrix(args.matrix)
     if matrix.n != 2:
         raise ConfigError("scatter2 requires a rank-2 matrix")
+    _check_order(args.order)
     diagram = scatter2.complete_scattering_rank2(matrix.top(), args.order)
     walls = [
         {
@@ -228,6 +234,7 @@ def cmd_theta2(args) -> int:
     matrix = load_matrix(args.matrix)
     if matrix.n != 2:
         raise ConfigError("theta2 requires a rank-2 matrix")
+    _check_order(args.order)
     diagram = scatter2.complete_scattering_rank2(matrix.top(), args.order)
     lam = WeightVec(tuple(parse_vec(args.lam, 2)))
     poly = scatter2.theta_via_broken_lines(diagram, lam)
@@ -304,25 +311,25 @@ def run_identity(eng: ThetaEngine, name: str, kmax: int = 4) -> List[str]:
                 for pos in range(tube.size):
                     theta = eng.theta_delta_from(tube.index, pos)
                     if base is None:
-                        base = theta.poly
-                    elif theta.poly != base:
+                        base = theta
+                    elif not eng.same([(1, None, theta)], [(1, None, base)]):
                         failures.append(
                             f"theta_delta differs for tube {tube.index} position {pos}"
                         )
     elif name == "cheby":
+        if kmax < 2:
+            raise ConfigError(f"kmax must be at least 2 to check an identity, got {kmax}")
+        # theta_k theta_l = theta_{k+l} + y^{l delta} theta_{k-l} (l < k) and
+        # theta_k^2 = theta_{2k} + 2 y^{k delta}, compared in pointed form
+        theta, delta = eng.theta_k_delta, eng.data.delta
         for k in range(2, kmax + 1):
             for l in range(1, k):
-                lhs = eng.theta_k_delta(k).poly * eng.theta_k_delta(l).poly
-                rhs = eng.theta_k_delta(k + l).poly + eng.y_monomial(
-                    eng.data.delta.scale(l)
-                ) * (eng.theta_k_delta(k - l).poly if k > l else eng.one())
-                if lhs != rhs:
+                lhs = [(1, None, eng.multiply(theta(k), theta(l)))]
+                rhs = [(1, None, theta(k + l)), (1, delta.scale(l), theta(k - l))]
+                if not eng.same(lhs, rhs):
                     failures.append(f"product identity failed at k={k}, l={l}")
-            sq = eng.theta_k_delta(k).poly * eng.theta_k_delta(k).poly
-            rhs = eng.theta_k_delta(2 * k).poly + eng.y_monomial(
-                eng.data.delta.scale(k), 2
-            )
-            if sq != rhs:
+            sq = [(1, None, eng.multiply(theta(k), theta(k)))]
+            if not eng.same(sq, [(1, None, theta(2 * k)), (2, delta.scale(k), None)]):
                 failures.append(f"square identity failed at k={k}")
     elif name == "imexch":
         for tube in eng.tubes:
@@ -482,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", default="all", help="|".join(IDENTITIES + ["all"]))
     p.add_argument(
         "--kmax", type=int, default=4,
-        help="largest multiple of the imaginary ray in the product identities",
+        help="largest multiple of the imaginary ray in the product identities (at least 2)",
     )
     p.set_defaults(func=cmd_verify)
 

@@ -7,12 +7,25 @@ the rank-2 closed forms or from the boundary identity, multiples of delta
 from the Chebyshev-style recursion, and interior points from the product
 over a compatible expansion.  Products of thetas are re-expanded in the theta
 basis by greedy peeling.
+
+A theta function is pointed: every term is x^(label + B beta) u^beta with
+beta >= 0, so it is stored as its label and its F-polynomial
+F: beta -> coefficient (ThetaFunction).  A product of thetas is the sum of
+the labels and the product of the F-polynomials, which poly.mul_terms
+packs into big integers whenever the exponent box is dense enough.  The
+recursion, the boundary identity and the products over compatible
+expansions run in this form; a LaurentPoly is built only when a caller
+reads ThetaFunction.poly.  Pointedness is checked in full where a
+LaurentPoly enters (the g-vector search, the rank-2 table), and every
+F-polynomial made by subtraction is checked for F(0) = 1 and positive
+coefficients; products keep both properties by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import add, mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import affine
 from .affine import (
@@ -25,7 +38,7 @@ from .affine import (
     nonmax_root_data,
     tube_root_vector,
 )
-from .poly import LaurentPoly, VarContext, default_context, substitute
+from .poly import Exponent, LaurentPoly, VarContext, default_context, mul_terms, substitute
 from .seeds import (
     ExtendedExchangeMatrix,
     NotFound,
@@ -49,11 +62,57 @@ class NonTerminating(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ThetaFunction:
-    """A pointed Laurent polynomial together with its g-vector label."""
+class Grading:
+    """The pointed grading of a principal-coefficient engine: the term u^beta
+    of an F-polynomial at a label is x^(label + B beta) u^beta."""
 
-    label: WeightVec
-    poly: LaurentPoly
+    ctx: VarContext
+    b: Tuple[Tuple[int, ...], ...]
+
+    def x_part(self, label: Exponent, beta: Exponent) -> Exponent:
+        return tuple(x + sum(map(mul, row, beta)) for x, row in zip(label, self.b))
+
+    def poly(self, label: Exponent, f: Dict[Exponent, int]) -> LaurentPoly:
+        return LaurentPoly(self.ctx, {self.x_part(label, beta) + beta: c for beta, c in f.items()})
+
+
+class ThetaFunction:
+    """A theta function in pointed form x^label F(yhat), yhat^beta = x^(B beta) u^beta.
+
+    ``f`` maps beta in N^n to the coefficient of u^beta; F(0) = 1 and every
+    coefficient is positive.  ``poly`` is the LaurentPoly with the terms
+    x^(label + B beta) u^beta, built from the grading on first use unless
+    given: a theta from the g-vector search or the rank-2 table keeps the
+    LaurentPoly it came from.  Products of thetas (ThetaEngine.multiply)
+    share this form; they are pointed but in general not theta functions.
+    """
+
+    __slots__ = ("label", "f", "_grading", "_poly")
+
+    def __init__(
+        self,
+        label: WeightVec,
+        f: Dict[Exponent, int],
+        grading: Grading,
+        poly: Optional[LaurentPoly] = None,
+    ) -> None:
+        self.label = label
+        self.f = f
+        self._grading = grading
+        self._poly = poly
+
+    @property
+    def poly(self) -> LaurentPoly:
+        if self._poly is None:
+            self._poly = self._grading.poly(self.label.coords, self.f)
+        return self._poly
+
+    def __repr__(self) -> str:
+        return f"ThetaFunction({self.label}, {self.poly})"
+
+
+# A term c * y^gamma * theta of a sum; gamma None is y^0, theta None is 1.
+Term = Tuple[int, Optional[RootVec], Optional[ThetaFunction]]
 
 
 # The rank-2 closed forms, keyed by (b12, b21).  Exponent order: x1 x2 u1 u2.
@@ -84,6 +143,7 @@ class ThetaEngine:
         self.peel_budget = peel_budget
         self.matrix: ExtendedExchangeMatrix = principal_extension(self.data.b)
         self.ctx: VarContext = default_context(self.n, self.n)
+        self.grading = Grading(self.ctx, self.data.b)
         self._frontier = enumerate_gvector_frontier(self.matrix, depth)
         self._gvec_index: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
         self._seed_cache: Dict[Tuple[int, ...], Seed] = {(): initial_seed(self.matrix, self.ctx)}
@@ -99,26 +159,92 @@ class ThetaEngine:
     def one(self) -> LaurentPoly:
         return LaurentPoly.const(self.ctx, 1)
 
-    def assert_pointed(self, poly: LaurentPoly, label: WeightVec) -> None:
+    def assert_pointed(self, poly: LaurentPoly, label: WeightVec) -> Dict[Exponent, int]:
         """Pointedness at the label: p = x^label (1 + sum c_beta yhat^beta)
-        with beta > 0, i.e. every term is x^(label + B beta) u^beta."""
+        with beta > 0 and c_beta > 0, i.e. every term is
+        x^(label + B beta) u^beta.  Returns the F-polynomial beta -> c_beta."""
         n = self.n
-        seen_unit = False
+        x_part = self.grading.x_part
+        f = {}
         for e, c in poly.terms.items():
-            beta = RootVec(e[n:])
-            if any(x < 0 for x in beta.coords):
+            beta = e[n:]
+            if any(x < 0 for x in beta):
                 raise IdentityViolated("negative tropical exponent in a theta function")
-            expect = label + self.data.b_weight(beta)
-            if e[:n] != expect.coords:
+            if e[:n] != x_part(label.coords, beta):
                 raise IdentityViolated("theta term off the pointed grading")
-            if beta.is_zero():
-                if c != 1:
-                    raise IdentityViolated("pointed term has coefficient != 1")
-                seen_unit = True
-            elif c <= 0:
-                raise IdentityViolated("nonpositive theta coefficient")
-        if not seen_unit:
+            f[beta] = c
+        self._check_f(f)
+        return f
+
+    def _check_f(self, f: Dict[Exponent, int]) -> None:
+        """F(0) = 1 and every coefficient positive."""
+        one = f.get((0,) * self.n)
+        if one is None:
             raise IdentityViolated("missing pointed term")
+        if one != 1:
+            raise IdentityViolated("pointed term has coefficient != 1")
+        if any(c <= 0 for c in f.values()):
+            raise IdentityViolated("nonpositive theta coefficient")
+
+    # -- arithmetic in pointed form ----------------------------------------------
+
+    def multiply(self, a: ThetaFunction, b: ThetaFunction) -> ThetaFunction:
+        """theta_a * theta_b in pointed form: the label sum and the F product."""
+        return ThetaFunction(a.label + b.label, mul_terms(a.f, b.f), self.grading)
+
+    def _f_sum(self, terms: Sequence[Term]) -> Optional[Tuple[WeightVec, Dict[Exponent, int]]]:
+        """sum c y^gamma theta as (label, F), using y^gamma (label, F) =
+        (label - B gamma, u^gamma F); None when the terms sit at different
+        labels."""
+        zero = (0,) * self.n
+        label = None
+        out: Dict[Exponent, int] = {}
+        get = out.get
+        for c, gamma, theta in terms:
+            at = WeightVec(zero) if theta is None else theta.label
+            f = {zero: 1} if theta is None else theta.f
+            if gamma is not None:
+                at = at - self.data.b_weight(gamma)
+                shift = gamma.coords
+                f = {tuple(map(add, beta, shift)): v for beta, v in f.items()}
+            if label is None:
+                label = at
+            elif at != label:
+                return None
+            for beta, v in f.items():
+                out[beta] = get(beta, 0) + c * v
+        return label, {beta: v for beta, v in out.items() if v}
+
+    def _poly_sum(self, terms: Sequence[Term]) -> LaurentPoly:
+        out = LaurentPoly.zero(self.ctx)
+        for c, gamma, theta in terms:
+            piece = self.y_monomial(RootVec((0,) * self.n) if gamma is None else gamma, c)
+            out = out + (piece if theta is None else piece * theta.poly)
+        return out
+
+    def same(self, lhs: Sequence[Term], rhs: Sequence[Term]) -> bool:
+        """Whether sum lhs == sum rhs exactly, for terms (c, gamma, theta)
+        meaning c y^gamma theta.  When every term sits at one label this
+        compares F-polynomials, which is LaurentPoly equality there;
+        otherwise it compares the LaurentPoly sums."""
+        diff = self._f_sum(list(lhs) + [(-c, gamma, theta) for c, gamma, theta in rhs])
+        if diff is not None:
+            return not diff[1]
+        return self._poly_sum(lhs) == self._poly_sum(rhs)
+
+    def _theta_from_sum(self, label: WeightVec, terms: Sequence[Term]) -> ThetaFunction:
+        """The theta function sum c y^gamma theta, which must be pointed at
+        label with F(0) = 1 and positive coefficients."""
+        total = self._f_sum(terms)
+        if total is None:
+            # terms at different labels: check the LaurentPoly sum in full
+            poly = self._poly_sum(terms)
+            return ThetaFunction(label, self.assert_pointed(poly, label), self.grading, poly)
+        at, f = total
+        if at != label:
+            raise IdentityViolated("theta term off the pointed grading")
+        self._check_f(f)
+        return ThetaFunction(label, f, self.grading)
 
     # -- g-vector fan thetas ---------------------------------------------------
 
@@ -143,8 +269,7 @@ class ThetaEngine:
                 raise NotFound(self.depth)
         word, col = self._gvec_index[key]
         var = self._seed_for_word(word).cluster[col]
-        theta = ThetaFunction(label, var)
-        self.assert_pointed(var, label)
+        theta = ThetaFunction(label, self.assert_pointed(var, label), self.grading, var)
         self._theta_cache[key] = theta
         return theta
 
@@ -167,8 +292,7 @@ class ThetaEngine:
             poly = LaurentPoly(
                 self.ctx, {(e[1], e[0], e[3], e[2]): c for e, c in swapped.items()}
             )
-        self.assert_pointed(poly, label)
-        return ThetaFunction(label, poly)
+        return ThetaFunction(label, self.assert_pointed(poly, label), self.grading, poly)
 
     def theta_delta_from(self, tube_idx: int, orbit_pos: int) -> ThetaFunction:
         """Theta of nu_c(delta) computed from one chosen tube simple:
@@ -180,18 +304,18 @@ class ThetaEngine:
         t_beta = self.theta_tube_root(TubeRoot(tube.index, i, 1))
         t_rest = self.theta_tube_root(TubeRoot(tube.index, (i + 1) % k, k - 1))
         if k == 2:
-            tail1 = tail2 = self.one()
+            tail1 = tail2 = None
         else:
-            tail1 = self.theta_tube_root(TubeRoot(tube.index, (i + 1) % k, k - 2)).poly
-            tail2 = self.theta_tube_root(TubeRoot(tube.index, (i + 2) % k, k - 2)).poly
-        poly = (
-            t_beta.poly * t_rest.poly
-            - self.y_monomial(tube.orbit[i]) * tail1
-            - self.y_monomial(tube.orbit[(i + 1) % k]) * tail2
+            tail1 = self.theta_tube_root(TubeRoot(tube.index, (i + 1) % k, k - 2))
+            tail2 = self.theta_tube_root(TubeRoot(tube.index, (i + 2) % k, k - 2))
+        return self._theta_from_sum(
+            self.data.nu_c(self.data.delta),
+            [
+                (1, None, self.multiply(t_beta, t_rest)),
+                (-1, tube.orbit[i], tail1),
+                (-1, tube.orbit[(i + 1) % k], tail2),
+            ],
         )
-        label = self.data.nu_c(self.data.delta)
-        self.assert_pointed(poly, label)
-        return ThetaFunction(label, poly)
 
     def theta_delta(self) -> ThetaFunction:
         if self._k_delta:
@@ -213,19 +337,17 @@ class ThetaEngine:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.theta_delta()
-        ydelta = self.y_monomial(self.data.delta)
+        delta = self.data.delta
         while len(self._k_delta) < k:
             j = len(self._k_delta) + 1
-            t1 = self._k_delta[0].poly
+            t1 = self._k_delta[0]
             if j == 2:
-                poly = t1 * t1 - ydelta.scale(2)
+                terms = [(1, None, self.multiply(t1, t1)), (-2, delta, None)]
             else:
-                prev = self._k_delta[-1].poly
-                prev2 = self._k_delta[-2].poly if j > 2 else self.one()
-                poly = prev * t1 - ydelta * prev2
-            label = self.data.nu_c(self.data.delta).scale(j)
-            self.assert_pointed(poly, label)
-            self._k_delta.append(ThetaFunction(label, poly))
+                prev, prev2 = self._k_delta[-1], self._k_delta[-2]
+                terms = [(1, None, self.multiply(prev, t1)), (-1, delta, prev2)]
+            label = self.data.nu_c(delta).scale(j)
+            self._k_delta.append(self._theta_from_sum(label, terms))
         return self._k_delta[k - 1]
 
     # -- general points of the imaginary wall -----------------------------------
@@ -234,18 +356,23 @@ class ThetaEngine:
         """Theta of nu_c(phi) for phi in the tube cone, as the product
         theta_{m_delta nu(delta)} * prod theta_{nu(arc)}^mult."""
         m_delta, arcs = cluster_expansion_imaginary(self.data, self.tubes, phi)
-        poly = self.one() if m_delta == 0 else self.theta_k_delta(m_delta).poly
+        if m_delta == 0:
+            theta = self.theta_by_label(WeightVec((0,) * self.n))
+        else:
+            theta = self.theta_k_delta(m_delta)
         for r in sorted(arcs):
-            poly = poly * self.theta_tube_root(r).poly ** arcs[r]
-        label = self.data.nu_c(phi)
-        self.assert_pointed(poly, label)
-        return ThetaFunction(label, poly)
+            arc = self.theta_tube_root(r)
+            for _ in range(arcs[r]):
+                theta = self.multiply(theta, arc)
+        if theta.label != self.data.nu_c(phi):
+            raise IdentityViolated("compatible expansion does not sum to phi")
+        return theta
 
     def theta_by_label(self, label: WeightVec) -> ThetaFunction:
         """Theta for a lattice point of the imaginary wall given by its label
         (theta_0 = 1 by convention)."""
         if label.is_zero():
-            return ThetaFunction(label, self.one())
+            return ThetaFunction(label, {label.coords: 1}, self.grading)
         return self.theta_imaginary(self.data.nu_c_inv(label))
 
     # -- products in the theta basis ----------------------------------------------

@@ -152,6 +152,11 @@ def test_non_affine_matrix_exits_2(tmp_path, capsys):
         ("theta2", "--matrix", "a1t22", "--lambda", "1"),
         ("gca-graph", "--matrix", "a3t", "--tube", "-1"),
         ("theta", "--matrix", "a3t", "--target", "x*delta"),
+        ("verify", "--matrix", "a2t", "--kmax", "1"),
+        ("verify", "--matrix", "a2t", "--kmax", "0"),
+        ("verify", "--matrix", "a2t", "--kmax", "-3"),
+        ("scatter2", "--matrix", "a1t22", "--order", "-1"),
+        ("theta2", "--matrix", "a1t22", "--lambda", "1,1", "--order", "-1"),
     ],
 )
 def test_malformed_word_vector_or_index_exits_2(capsys, argv):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from affcluster import poly
 from affcluster.poly import (
     ContextMismatch,
     LaurentPoly,
@@ -15,6 +16,7 @@ from affcluster.poly import (
     default_context,
     exact_div,
     from_json_dict,
+    mul_terms,
     pointed_form,
     substitute,
     to_json_dict,
@@ -222,3 +224,59 @@ def test_power_negative_of_unit():
     assert m ** -3 == mono((-3, 6, 0, -3), -1)
     with pytest.raises(NonInvertibleImage):
         (LaurentPoly.var(CTX, 0) + LaurentPoly.const(CTX, 1)) ** -1
+
+
+def random_terms(rng, nvars, nterms, lo, hi, coeff):
+    return {
+        tuple(rng.randint(lo, hi) for _ in range(nvars)):
+        rng.choice((-1, 1)) * rng.randint(1, coeff)
+        for _ in range(nterms)
+    }
+
+
+def sparse_reference(f, g):
+    return {e: c for e, c in poly._sparse_product(f, g).items() if c}
+
+
+def test_mul_terms_matches_the_sparse_loop(rng, monkeypatch):
+    # Both sides of the density rule, squares, signed coefficients in slots
+    # of 1 to 2, 3 to 8 and more than 8 bytes, 1 to 7 variables.
+    packed = []
+    original = poly._packed_product
+    monkeypatch.setattr(
+        poly, "_packed_product", lambda *args: packed.append(1) or original(*args)
+    )
+    for nvars in range(1, 8):
+        side = max(1, round(150 ** (1 / nvars)) - 1)  # about 150 lattice points
+        for coeff in (9, 2**20, 2**70):
+            for nf, ng in ((1, 1), (30, 5), (120, 40), (120, 120)):
+                f = random_terms(rng, nvars, nf, -side, 0, coeff)
+                g = random_terms(rng, nvars, ng, 0, side, coeff)
+                far = random_terms(rng, nvars, nf // 4 + 1, -(10**5), 10**5, coeff)
+                for a, b in ((f, g), (f, f), (far, g), (far, far)):
+                    before = len(packed)
+                    got = mul_terms(a, b)
+                    assert got == sparse_reference(a, b)
+                    assert 0 not in got.values()
+                    if b is far:
+                        assert len(packed) == before, "a sparse box was packed"
+                    if nf == ng == 120 and a is f:
+                        assert len(packed) == before + 1, "a dense box was not packed"
+
+
+def test_mul_terms_cancellation_empty_and_constant(rng):
+    for nvars in range(1, 8):
+        x = [0] * nvars
+        x[rng.randrange(nvars)] = 1
+        x = tuple(x)
+        zero = (0,) * nvars
+        x2 = tuple(2 * v for v in x)
+        h = random_terms(rng, nvars, 40, 0, 3, 2**66)
+        # h (1 + x) times (1 - x) = h (1 - x^2): the x-terms of the expansion cancel
+        f = mul_terms(h, {zero: 1, x: 1})
+        got = mul_terms(f, {zero: 1, x: -1})
+        assert got == sparse_reference(f, {zero: 1, x: -1}) == mul_terms(h, {zero: 1, x2: -1})
+        assert mul_terms({zero: 1, x: 1}, {zero: 1, x: -1}) == {zero: 1, x2: -1}
+        assert mul_terms({}, h) == mul_terms(h, {}) == {}
+        assert mul_terms({zero: -3}, h) == {e: -3 * c for e, c in h.items()}
+        assert mul_terms({zero: 2**65}, {zero: -(2**65)}) == {zero: -(2**130)}

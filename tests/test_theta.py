@@ -4,7 +4,15 @@ import itertools
 
 import pytest
 
-from affcluster.affine import NotInImaginaryWall, TubeRoot, all_arcs, maximal_compatible_sets, tube_root_vector
+from affcluster import cli
+from affcluster.affine import (
+    NotInImaginaryWall,
+    TubeRoot,
+    all_arcs,
+    cluster_expansion_imaginary,
+    maximal_compatible_sets,
+    tube_root_vector,
+)
 from affcluster.poly import LaurentPoly, substitute
 from affcluster.seeds import RootVec, WeightVec, denominator_vector_of
 from affcluster.theta import ThetaEngine
@@ -117,6 +125,55 @@ def test_theta_imaginary_pointed_and_split():
     assert theta.poly == eng.theta_delta().poly * eng.theta_tube_root(gamma).poly
     with pytest.raises(NotInImaginaryWall):
         eng.theta_imaginary(RootVec((1, 0, 0, 0)))
+
+
+def test_pointed_form_matches_laurent_products():
+    # theta_delta by the boundary identity, theta_2delta by the recursion and
+    # thetas over compatible expansions, each rebuilt with LaurentPoly
+    # arithmetic from the cluster variables of the g-vector search
+    for name in cli.BUNDLED:
+        eng = ThetaEngine(cli.load_matrix(name).top())
+        if not eng.tubes:
+            continue
+        tube, one, y = eng.tubes[0], eng.one(), eng.y_monomial
+        k = tube.size
+
+        def arc(start, length):
+            if length == 0:
+                return one
+            return eng.theta_tube_root(TubeRoot(tube.index, start % k, length)).poly
+
+        t1 = (
+            arc(0, 1) * arc(1, k - 1)
+            - y(tube.orbit[0]) * arc(1, k - 2)
+            - y(tube.orbit[1 % k]) * arc(2, k - 2)
+        )
+        ray = [one, t1, t1 * t1 - y(eng.data.delta, 2)]
+        assert eng.theta_k_delta(1).poly == t1
+        assert eng.theta_k_delta(2).poly == ray[2]
+        for r in all_arcs(tube):
+            if r.length > 1:
+                continue
+            for phi in (
+                tube_root_vector(tube, r).scale(2),
+                eng.data.delta + tube_root_vector(tube, r),
+                eng.data.delta.scale(2) + tube_root_vector(tube, r),
+            ):
+                m_delta, arcs = cluster_expansion_imaginary(eng.data, eng.tubes, phi)
+                want = ray[m_delta]
+                for s, mult in arcs.items():
+                    want = want * eng.theta_tube_root(s).poly ** mult
+                assert eng.theta_imaginary(phi).poly == want
+
+
+def test_cheby_family_multiplies_no_laurent_polynomials(monkeypatch):
+    eng = ThetaEngine(B_A2T)
+    eng.theta_delta()  # the g-vector search behind it multiplies LaurentPolys
+    calls = []
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert cli.run_identity(eng, "cheby", kmax=4) == []
+    assert not calls
 
 
 def test_theta_by_label_zero_is_one():
@@ -279,9 +336,11 @@ def test_expand_product_aborts_loudly_on_non_theta_input():
     from affcluster.theta import IdentityViolated, NonTerminating, ThetaFunction
 
     eng = ThetaEngine(B_KRON)
+    # an F-polynomial with a term u^beta, beta not in N^n: not pointed
     bad = ThetaFunction(
         eng.data.nu_c(eng.data.delta),
-        eng.theta_delta().poly + LaurentPoly.var(eng.ctx, 0),
+        {**eng.theta_delta().f, (-1, 0): 1},
+        eng.grading,
     )
     with pytest.raises((IdentityViolated, NonTerminating)):
         eng.expand_product(bad, eng.theta_delta())
