@@ -188,6 +188,7 @@ def _parse_target(eng: ThetaEngine, text: str) -> WeightVec:
 
 
 def cmd_theta(args) -> int:
+    _check_nonnegative("--depth", args.depth)
     eng = ThetaEngine(load_matrix(args.matrix).top(), depth=args.depth)
     label = _parse_target(eng, args.target)
     theta = eng.theta_by_label(label)
@@ -202,16 +203,16 @@ def cmd_theta(args) -> int:
     return 0
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ConfigError(f"--order must be nonnegative, got {order}")
+def _check_nonnegative(flag: str, value: int) -> None:
+    if value < 0:
+        raise ConfigError(f"{flag} must be nonnegative, got {value}")
 
 
 def cmd_scatter2(args) -> int:
     matrix = load_matrix(args.matrix)
     if matrix.n != 2:
         raise ConfigError("scatter2 requires a rank-2 matrix")
-    _check_order(args.order)
+    _check_nonnegative("--order", args.order)
     diagram = scatter2.complete_scattering_rank2(matrix.top(), args.order)
     walls = [
         {
@@ -234,7 +235,7 @@ def cmd_theta2(args) -> int:
     matrix = load_matrix(args.matrix)
     if matrix.n != 2:
         raise ConfigError("theta2 requires a rank-2 matrix")
-    _check_order(args.order)
+    _check_nonnegative("--order", args.order)
     diagram = scatter2.complete_scattering_rank2(matrix.top(), args.order)
     lam = WeightVec(tuple(parse_vec(args.lam, 2)))
     poly = scatter2.theta_via_broken_lines(diagram, lam)
@@ -387,6 +388,7 @@ def run_identity(eng: ThetaEngine, name: str, kmax: int = 4) -> List[str]:
 
 
 def cmd_verify(args) -> int:
+    _check_nonnegative("--depth", args.depth)
     matrix = load_matrix(args.matrix)
     eng = ThetaEngine(matrix.top(), depth=args.depth)
     names = IDENTITIES if args.identity == "all" else [args.identity]

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import neg
 from typing import Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .poly import (
@@ -128,19 +129,31 @@ class ExtendedExchangeMatrix:
 
 
 def mutate_rows(rows: Rows, k: int) -> Rows:
-    """Matrix mutation in direction k applied to all rows of a tall matrix."""
-    ncols = len(rows[0])
-    if not 0 <= k < ncols:
+    """Matrix mutation in direction k, applied to every row of an integer
+    matrix of any shape (k must index both a row and a column).
+
+    Entry (i, j) becomes b_ij + [-b_ik]_+ b_kj + b_ik [b_kj]_+, or -b_ij
+    when i == k or j == k; this holds for any integer matrix, skew-
+    symmetrizable or not.  Row by row, with a = b_ik: row i gains
+    a * [sgn(a) b_kj]_+ in each column j, entry k becomes -a, and row k is
+    negated.  A row with a zero in column k is returned as the same tuple
+    object, so callers may share it."""
+    if not 0 <= k < min(len(rows), len(rows[0])):
         raise IndexError(f"mutation index {k} out of range")
+    pivot = rows[k]
+    plus = [x if x > 0 else 0 for x in pivot]
+    minus = [-x if x < 0 else 0 for x in pivot]
     out = []
     for i, row in enumerate(rows):
-        new = []
-        for j in range(ncols):
-            if i == k or j == k:
-                new.append(-row[j])
-            else:
-                new.append(row[j] + _pos(-row[k]) * rows[k][j] + row[k] * _pos(rows[k][j]))
-        out.append(tuple(new))
+        a = row[k]
+        if i == k:
+            out.append(tuple(map(neg, row)))
+        elif a == 0:
+            out.append(row)
+        else:
+            new = [x + a * p for x, p in zip(row, plus if a > 0 else minus)]
+            new[k] = -a
+            out.append(tuple(new))
     return tuple(out)
 
 
@@ -318,54 +331,58 @@ def denominator_vector_of(p: LaurentPoly) -> RootVec:
 
 # -- g-vector search ---------------------------------------------------------
 
-def _g_mutate(b_top: Rows, g_cols: Rows, eps: int, k: int) -> Rows:
-    n = len(b_top)
-    new_col = tuple(
-        -g_cols[i][k] + sum(g_cols[i][j] * _pos(-eps * b_top[j][k]) for j in range(n))
-        for i in range(n)
-    )
-    return tuple(
-        tuple(new_col[i] if j == k else g_cols[i][j] for j in range(n))
-        for i in range(n)
-    )
-
-
 def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
     """BFS over (B-tilde, G-matrix) states from a principal extension.
 
     Yields (g_column, mutation word, column index) for every cluster variable
     encountered, initial ones first.  Integer matrices only; polynomials are
-    reconstructed by the caller when needed."""
+    reconstructed by the caller when needed.
+
+    A state stores B-tilde transposed, n rows of length n+m whose row k is
+    column k of B-tilde (its last m entries are the c-vector that gives the
+    sign eps_k), and G as the tuple of its columns, the g-vectors.  Mutation
+    commutes with transposition, since the correction sgn(b_ik)[b_ik b_kj]_+
+    is symmetric in its two factors, so mutate_rows on the transposed matrix
+    rebuilds only row k and the rows j with b_kj != 0; the other rows and
+    every g-vector but the k-th (Fomin-Zelevinsky's G-matrix recursion) are
+    shared with the parent state.  The dedup key (transposed B-tilde, G
+    columns) is a one-to-one relabelling of (B-tilde, G), so the states, the
+    words and the yield order are those of the search on B-tilde itself."""
     n = matrix.n
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     if matrix.bottom() != ident:
         raise ValueError("g-vector search requires principal coefficients")
-    start = (matrix.rows, ident)
+    start = (tuple(zip(*matrix.rows)), ident)
     seen = {start}
     frontier = [(start, ())]
     for j in range(n):
-        yield tuple(ident[i][j] for i in range(n)), (), j
+        yield ident[j], (), j
     for _ in range(depth):
         new_frontier = []
-        for (rows, g), word in frontier:
-            b_top = rows[:n]
+        for (cols, g), word in frontier:
             for k in range(n):
-                col = [rows[n + i][k] for i in range(n)]
-                if all(x >= 0 for x in col):
+                col = cols[k]
+                c_vec = col[n:]
+                if min(c_vec) >= 0:
                     eps = 1
-                elif all(x <= 0 for x in col):
+                elif max(c_vec) <= 0:
                     eps = -1
                 else:
                     raise UnsignedColumn("sign-coherence violated (bug)")
-                rows2 = mutate_rows(rows, k)
-                g2 = _g_mutate(b_top, g, eps, k)
-                state = (rows2, g2)
+                # g'_k = -g_k + sum_j [-eps_k b_jk]_+ g_j, where b_jk = col[j]
+                g_k = [-x for x in g[k]]
+                for j in range(n):
+                    c = -eps * col[j]
+                    if c > 0:
+                        g_k = [x + c * y for x, y in zip(g_k, g[j])]
+                g_k = tuple(g_k)
+                state = (mutate_rows(cols, k), g[:k] + (g_k,) + g[k + 1 :])
                 if state in seen:
                     continue
                 seen.add(state)
                 word2 = word + (k,)
                 new_frontier.append((state, word2))
-                yield tuple(g2[i][k] for i in range(n)), word2, k
+                yield g_k, word2, k
         frontier = new_frontier
         if not frontier:
             break

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from affcluster import cli
 from affcluster.poly import LaurentPoly, clear_tropical, default_context, pointed_form, pointed_split
 from affcluster.seeds import (
     ExtendedExchangeMatrix,
@@ -12,6 +13,7 @@ from affcluster.seeds import (
     RootVec,
     WeightVec,
     denominator_vector_of,
+    enumerate_gvector_frontier,
     enumerate_seeds,
     find_cluster_variable_by_gvector,
     g_vector_of,
@@ -60,6 +62,48 @@ def test_mutate_matrix_involution_randomized(rng):
         rows = tuple(tuple(r) for r in rows)
         k = rng.randrange(n)
         assert mutate_rows(mutate_rows(rows, k), k) == rows
+
+
+def _pos(x):
+    return x if x > 0 else 0
+
+
+def _mutate_entrywise(rows, k):
+    """Reference matrix mutation, one entry at a time."""
+    return tuple(
+        tuple(
+            -row[j]
+            if i == k or j == k
+            else row[j] + _pos(-row[k]) * rows[k][j] + row[k] * _pos(rows[k][j])
+            for j in range(len(row))
+        )
+        for i, row in enumerate(rows)
+    )
+
+
+@pytest.mark.parametrize("shape", ["tall", "square", "wide"])
+def test_mutate_rows_matches_entrywise_formula(rng, shape):
+    # any integer matrix: not necessarily skew-symmetrizable, many zeros
+    entries = (-3, -2, -1, 0, 0, 0, 0, 1, 2, 3)
+    for _ in range(150):
+        few, many = sorted((rng.randint(1, 6), rng.randint(1, 6)))
+        nrows, ncols = {
+            "tall": (many + 1, few),
+            "square": (few, few),
+            "wide": (few, many + 1),
+        }[shape]
+        rows = tuple(tuple(rng.choice(entries) for _ in range(ncols)) for _ in range(nrows))
+        k = rng.randrange(min(nrows, ncols))
+        got = mutate_rows(rows, k)
+        assert got == _mutate_entrywise(rows, k)
+        assert mutate_rows(tuple(zip(*rows)), k) == tuple(zip(*got))
+        assert mutate_rows(got, k) == rows
+        for i, row in enumerate(rows):
+            if i != k and row[k] == 0:
+                assert got[i] is row
+        for bad in (-1, min(nrows, ncols)):
+            with pytest.raises(IndexError):
+                mutate_rows(rows, bad)
 
 
 def test_skew_symmetrizers():
@@ -202,8 +246,6 @@ def test_find_cluster_variable_not_found_on_imaginary_ray():
 
 def test_gmatrix_recursion_matches_pointed_form():
     # dual-route check: integer G-matrix recursion vs pointed forms
-    from affcluster.seeds import enumerate_gvector_frontier
-
     for b in [B_KRON, B_A2T]:
         matrix = principal_extension(b)
         seen = 0
@@ -214,6 +256,49 @@ def test_gmatrix_recursion_matches_pointed_form():
             seen += 1
             if seen > 40:
                 break
+
+
+def _g_mutate(b_top, g, eps, k):
+    """Reference G-matrix mutation on G stored by rows."""
+    n = len(b_top)
+    new_col = [
+        -g[i][k] + sum(g[i][j] * _pos(-eps * b_top[j][k]) for j in range(n)) for i in range(n)
+    ]
+    return tuple(tuple(new_col[i] if j == k else g[i][j] for j in range(n)) for i in range(n))
+
+
+def _reference_frontier(matrix, depth):
+    """The search on untransposed (B-tilde, G) states, every entry rebuilt."""
+    n = matrix.n
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    start = (matrix.rows, ident)
+    seen, frontier = {start}, [(start, ())]
+    out = [(ident[j], (), j) for j in range(n)]
+    for _ in range(depth):
+        new_frontier = []
+        for (rows, g), word in frontier:
+            for k in range(n):
+                eps = 1 if all(rows[n + i][k] >= 0 for i in range(n)) else -1
+                state = (_mutate_entrywise(rows, k), _g_mutate(rows[:n], g, eps, k))
+                if state not in seen:
+                    seen.add(state)
+                    new_frontier.append((state, word + (k,)))
+                    out.append((tuple(r[k] for r in state[1]), word + (k,), k))
+        frontier = new_frontier
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, depth", [(name, 6 if name == "e6t" else 8) for name in cli.BUNDLED]
+)
+def test_gvector_search_matches_reference(name, depth):
+    matrix = principal_extension(cli.load_matrix(name).top())
+    assert list(enumerate_gvector_frontier(matrix, depth)) == _reference_frontier(matrix, depth)
+
+
+def test_gvector_search_requires_principal_coefficients():
+    with pytest.raises(ValueError):
+        next(enumerate_gvector_frontier(ExtendedExchangeMatrix(B_KRON, 2), 3))
 
 
 def test_clear_on_principal_is_identity():
