@@ -203,6 +203,15 @@ def cmd_theta(args) -> int:
     return 0
 
 
+def _write_json(path: str, payload: dict) -> None:
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    with fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+
+
 def _check_nonnegative(flag: str, value: int) -> None:
     if value < 0:
         raise ConfigError(f"{flag} must be nonnegative, got {value}")
@@ -225,8 +234,7 @@ def cmd_scatter2(args) -> int:
     ]
     payload = {"order": args.order, "walls": walls}
     if args.dump:
-        with open(args.dump, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+        _write_json(args.dump, payload)
     emit(payload, args.format)
     return 0
 
@@ -268,8 +276,7 @@ def cmd_gca_graph(args) -> int:
         ],
     }
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+        _write_json(args.json_out, payload)
     emit(payload, args.format)
     return 0
 

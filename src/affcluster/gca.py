@@ -22,8 +22,8 @@ from .affine import (
     max_root_data,
     nonmax_root_data,
 )
-from .poly import LaurentPoly, VarContext, exact_div
-from .seeds import Rows, mutate_rows
+from .poly import LaurentPoly, NonInvertibleImage, VarContext, exact_div
+from .seeds import RootVec, Rows, mutate_rows
 
 ZKey = Tuple  # ("z", tube_index, orbit_position) or ("star",)
 
@@ -364,16 +364,20 @@ def exchange_relation_arcs(
     return gamma, gamma2, rhs
 
 
-def t_o_image(engine, m: TropMonomial) -> "LaurentPoly":
-    """The homomorphism z_beta -> y^beta, z_star -> theta_{nu_c(delta)}."""
-    out = engine.one()
+def t_o_image(engine, m: TropMonomial):
+    """The homomorphism z_beta -> y^beta, z_star -> theta_{nu_c(delta)}, as
+    a term (1, gamma, theta) of ThetaEngine.same: y^gamma times the pointed
+    product of the z_star powers of theta_{nu_c(delta)}."""
+    gamma, stars = RootVec((0,) * engine.n), 0
     for key, v in m.exps:
         if key == ("star",):
-            out = out * engine.theta_delta().poly ** v
+            if v < 0:
+                raise NonInvertibleImage("negative power of theta_delta")
+            stars = v
         else:
             _, tube_idx, pos = key
-            out = out * engine.y_monomial(engine.tubes[tube_idx].orbit[pos], 1) ** v
-    return out
+            gamma = gamma + engine.tubes[tube_idx].orbit[pos].scale(v)
+    return 1, gamma, engine.product([engine.theta_delta()] * stars)
 
 
 def t_o_check(
@@ -383,8 +387,10 @@ def t_o_check(
     coefficient_free: bool = False,
 ) -> int:
     """Substitute thetas into every exchange relation along the graph and
-    verify each becomes an exact Laurent identity; returns the number of
-    relations checked.  Raises IdentityViolated on any failure."""
+    verify each becomes an exact Laurent identity, compared in pointed form
+    (with every tropical variable set to 1 when coefficient_free); returns
+    the number of relations checked.  Raises IdentityViolated on any
+    failure."""
     from .theta import IdentityViolated
 
     checked = 0
@@ -397,17 +403,18 @@ def t_o_check(
             if relkey in seen_rel:
                 continue
             seen_rel.add(relkey)
-            lhs = engine.theta_tube_root(gamma).poly * engine.theta_tube_root(gamma2).poly
-            total = None
+            lhs = engine.multiply(engine.theta_tube_root(gamma), engine.theta_tube_root(gamma2))
+            terms = [(1, None, lhs)]
             for coeff, powers in rhs:
-                term = t_o_image(engine, coeff)
-                for arc_label, e in powers.items():
-                    term = term * engine.theta_tube_root(arc_label).poly ** e
-                total = term if total is None else total + term
+                c, shift, theta = t_o_image(engine, coeff)
+                arcs = [engine.theta_tube_root(r) for r, e in powers.items() for _ in range(e)]
+                terms.append((-c, shift, engine.product(t for t in (theta, *arcs) if t)))
+            diff = engine._collect(terms)
             if coefficient_free:
-                lhs = engine.specialize_coefficient_free(lhs)
-                total = engine.specialize_coefficient_free(total)
-            if lhs != total:
+                x_part = engine.grading.x_part
+                poly = {x_part(at, beta) + beta: c for at, f in diff.items() for beta, c in f.items()}
+                diff = engine.specialize_coefficient_free(LaurentPoly(engine.ctx, poly))
+            if diff:
                 raise IdentityViolated(
                     f"t_o substitution failed on relation {gamma} * {gamma2}"
                 )

@@ -12,20 +12,21 @@ A theta function is pointed: every term is x^(label + B beta) u^beta with
 beta >= 0, so it is stored as its label and its F-polynomial
 F: beta -> coefficient (ThetaFunction).  A product of thetas is the sum of
 the labels and the product of the F-polynomials, which poly.mul_terms
-packs into big integers whenever the exponent box is dense enough.  The
-recursion, the boundary identity and the products over compatible
-expansions run in this form; a LaurentPoly is built only when a caller
-reads ThetaFunction.poly.  Pointedness is checked in full where a
-LaurentPoly enters (the g-vector search, the rank-2 table), and every
-F-polynomial made by subtraction is checked for F(0) = 1 and positive
-coefficients; products keep both properties by construction.
+packs into big integers whenever the exponent box is dense enough.  Every
+identity is checked in this form (ThetaEngine.same), at any number of
+labels, and peeling in the theta basis runs on F-polynomials; a
+LaurentPoly is built only when a caller reads ThetaFunction.poly.
+Pointedness is checked in full where a LaurentPoly enters (the g-vector
+search, the rank-2 table), and every F-polynomial made by subtraction is
+checked for F(0) = 1 and positive coefficients; products keep both
+properties by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import add, mul, sub
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import affine
 from .affine import (
@@ -81,25 +82,18 @@ class ThetaFunction:
 
     ``f`` maps beta in N^n to the coefficient of u^beta; F(0) = 1 and every
     coefficient is positive.  ``poly`` is the LaurentPoly with the terms
-    x^(label + B beta) u^beta, built from the grading on first use unless
-    given: a theta from the g-vector search or the rank-2 table keeps the
-    LaurentPoly it came from.  Products of thetas (ThetaEngine.multiply)
-    share this form; they are pointed but in general not theta functions.
+    x^(label + B beta) u^beta, built from the grading on first use.
+    Products of thetas (ThetaEngine.multiply) share this form; they are
+    pointed but in general not theta functions.
     """
 
     __slots__ = ("label", "f", "_grading", "_poly")
 
-    def __init__(
-        self,
-        label: WeightVec,
-        f: Dict[Exponent, int],
-        grading: Grading,
-        poly: Optional[LaurentPoly] = None,
-    ) -> None:
+    def __init__(self, label: WeightVec, f: Dict[Exponent, int], grading: Grading) -> None:
         self.label = label
         self.f = f
         self._grading = grading
-        self._poly = poly
+        self._poly: Optional[LaurentPoly] = None
 
     @property
     def poly(self) -> LaurentPoly:
@@ -113,6 +107,14 @@ class ThetaFunction:
 
 # A term c * y^gamma * theta of a sum; gamma None is y^0, theta None is 1.
 Term = Tuple[int, Optional[RootVec], Optional[ThetaFunction]]
+
+
+def _add_into(target: Dict[Exponent, int], terms: Dict[Exponent, int], sign: int) -> None:
+    """target += sign * terms, keeping only nonzero coefficients."""
+    for e, c in terms.items():
+        target[e] = target.get(e, 0) + sign * c
+        if not target[e]:
+            del target[e]
 
 
 # The rank-2 closed forms, keyed by (b12, b21).  Exponent order: x1 x2 u1 u2.
@@ -164,26 +166,22 @@ class ThetaEngine:
         with beta > 0 and c_beta > 0, i.e. every term is
         x^(label + B beta) u^beta.  Returns the F-polynomial beta -> c_beta."""
         n = self.n
-        x_part = self.grading.x_part
-        f = {}
-        for e, c in poly.terms.items():
-            beta = e[n:]
-            if any(x < 0 for x in beta):
-                raise IdentityViolated("negative tropical exponent in a theta function")
-            if e[:n] != x_part(label.coords, beta):
-                raise IdentityViolated("theta term off the pointed grading")
-            f[beta] = c
+        if any(e[:n] != self.grading.x_part(label.coords, e[n:]) for e in poly.terms):
+            raise IdentityViolated("theta term off the pointed grading")
+        f = {e[n:]: c for e, c in poly.terms.items()}
         self._check_f(f)
         return f
 
     def _check_f(self, f: Dict[Exponent, int]) -> None:
-        """F(0) = 1 and every coefficient positive."""
+        """F(0) = 1, beta >= 0 and every coefficient positive."""
         one = f.get((0,) * self.n)
         if one is None:
             raise IdentityViolated("missing pointed term")
         if one != 1:
             raise IdentityViolated("pointed term has coefficient != 1")
-        if any(c <= 0 for c in f.values()):
+        if min(map(min, f)) < 0:
+            raise IdentityViolated("negative tropical exponent in a theta function")
+        if min(f.values()) <= 0:
             raise IdentityViolated("nonpositive theta coefficient")
 
     # -- arithmetic in pointed form ----------------------------------------------
@@ -192,57 +190,46 @@ class ThetaEngine:
         """theta_a * theta_b in pointed form: the label sum and the F product."""
         return ThetaFunction(a.label + b.label, mul_terms(a.f, b.f), self.grading)
 
-    def _f_sum(self, terms: Sequence[Term]) -> Optional[Tuple[WeightVec, Dict[Exponent, int]]]:
-        """sum c y^gamma theta as (label, F), using y^gamma (label, F) =
-        (label - B gamma, u^gamma F); None when the terms sit at different
-        labels."""
+    def product(self, thetas: Iterable[ThetaFunction]) -> Optional[ThetaFunction]:
+        """The pointed product of the thetas; None, the constant 1, for none."""
+        out = None
+        for theta in thetas:
+            out = theta if out is None else self.multiply(out, theta)
+        return out
+
+    def _collect(self, terms: Iterable[Term]) -> Dict[Exponent, Dict[Exponent, int]]:
+        """sum c y^gamma theta as label -> F, nonzero coefficients only.
+
+        y^gamma theta has the term F(beta) at (label - B gamma, beta + gamma),
+        and (label, beta) stands for x^(label + B beta) u^beta, a bijection
+        onto the monomials: the sum is zero exactly when the map is empty."""
         zero = (0,) * self.n
-        label = None
-        out: Dict[Exponent, int] = {}
-        get = out.get
+        out: Dict[Exponent, Dict[Exponent, int]] = {}
         for c, gamma, theta in terms:
-            at = WeightVec(zero) if theta is None else theta.label
+            label = zero if theta is None else theta.label.coords
             f = {zero: 1} if theta is None else theta.f
             if gamma is not None:
-                at = at - self.data.b_weight(gamma)
-                shift = gamma.coords
-                f = {tuple(map(add, beta, shift)): v for beta, v in f.items()}
-            if label is None:
-                label = at
-            elif at != label:
-                return None
+                label = tuple(map(sub, label, self.data.b_weight(gamma).coords))
+                f = {tuple(map(add, beta, gamma.coords)): v for beta, v in f.items()}
+            acc = out.setdefault(label, {})
             for beta, v in f.items():
-                out[beta] = get(beta, 0) + c * v
-        return label, {beta: v for beta, v in out.items() if v}
-
-    def _poly_sum(self, terms: Sequence[Term]) -> LaurentPoly:
-        out = LaurentPoly.zero(self.ctx)
-        for c, gamma, theta in terms:
-            piece = self.y_monomial(RootVec((0,) * self.n) if gamma is None else gamma, c)
-            out = out + (piece if theta is None else piece * theta.poly)
-        return out
+                acc[beta] = acc.get(beta, 0) + c * v
+        out = {label: {beta: v for beta, v in acc.items() if v} for label, acc in out.items()}
+        return {label: acc for label, acc in out.items() if acc}
 
     def same(self, lhs: Sequence[Term], rhs: Sequence[Term]) -> bool:
         """Whether sum lhs == sum rhs exactly, for terms (c, gamma, theta)
-        meaning c y^gamma theta.  When every term sits at one label this
-        compares F-polynomials, which is LaurentPoly equality there;
-        otherwise it compares the LaurentPoly sums."""
-        diff = self._f_sum(list(lhs) + [(-c, gamma, theta) for c, gamma, theta in rhs])
-        if diff is not None:
-            return not diff[1]
-        return self._poly_sum(lhs) == self._poly_sum(rhs)
+        meaning c y^gamma theta: LaurentPoly equality, compared in pointed
+        form whatever labels the terms sit at."""
+        return not self._collect([*lhs, *((-c, gamma, theta) for c, gamma, theta in rhs)])
 
     def _theta_from_sum(self, label: WeightVec, terms: Sequence[Term]) -> ThetaFunction:
         """The theta function sum c y^gamma theta, which must be pointed at
         label with F(0) = 1 and positive coefficients."""
-        total = self._f_sum(terms)
-        if total is None:
-            # terms at different labels: check the LaurentPoly sum in full
-            poly = self._poly_sum(terms)
-            return ThetaFunction(label, self.assert_pointed(poly, label), self.grading, poly)
-        at, f = total
-        if at != label:
+        total = self._collect(terms)
+        if any(at != label.coords for at in total):
             raise IdentityViolated("theta term off the pointed grading")
+        f = total.get(label.coords, {})
         self._check_f(f)
         return ThetaFunction(label, f, self.grading)
 
@@ -269,7 +256,7 @@ class ThetaEngine:
                 raise NotFound(self.depth)
         word, col = self._gvec_index[key]
         var = self._seed_for_word(word).cluster[col]
-        theta = ThetaFunction(label, self.assert_pointed(var, label), self.grading, var)
+        theta = ThetaFunction(label, self.assert_pointed(var, label), self.grading)
         self._theta_cache[key] = theta
         return theta
 
@@ -277,6 +264,10 @@ class ThetaEngine:
         """Theta of nu_c(arc); a cluster variable by the ray bijection."""
         vec = tube_root_vector(self.tubes[r.tube], r)
         return self.theta_gfan(self.data.nu_c(vec))
+
+    def _arc_product(self, *arcs: Optional[TubeRoot]) -> Optional[ThetaFunction]:
+        """The pointed product of the arcs' thetas, None arcs skipped."""
+        return self.product(self.theta_tube_root(r) for r in arcs if r)
 
     # -- the imaginary ray ------------------------------------------------------
 
@@ -292,7 +283,7 @@ class ThetaEngine:
             poly = LaurentPoly(
                 self.ctx, {(e[1], e[0], e[3], e[2]): c for e, c in swapped.items()}
             )
-        return ThetaFunction(label, self.assert_pointed(poly, label), self.grading, poly)
+        return ThetaFunction(label, self.assert_pointed(poly, label), self.grading)
 
     def theta_delta_from(self, tube_idx: int, orbit_pos: int) -> ThetaFunction:
         """Theta of nu_c(delta) computed from one chosen tube simple:
@@ -377,15 +368,6 @@ class ThetaEngine:
 
     # -- products in the theta basis ----------------------------------------------
 
-    def _x_coefficient(self, p: LaurentPoly, kappa: WeightVec) -> LaurentPoly:
-        """Sum of u-monomials over terms of p whose x-part equals kappa."""
-        n = self.n
-        out = {}
-        for e, c in p.terms.items():
-            if e[:n] == kappa.coords:
-                out[(0,) * n + e[n:]] = c
-        return LaurentPoly(self.ctx, out)
-
     def dominance_chain(self, label: WeightVec) -> List[WeightVec]:
         """{label - 2a nu_c(delta) : a >= 0} intersected with d_infinity."""
         out = []
@@ -406,53 +388,61 @@ class ThetaEngine:
 
         First peels along the dominance chain of label(a)+label(b) (largest
         label first), then peels any remaining pointed leading terms; aborts
-        loudly if the remainder survives the budget."""
+        loudly if the remainder survives the budget.  The remainder is an
+        F-polynomial at lam = label(a) + label(b); u^gamma theta_kappa sits at
+        lam exactly when lam + B gamma = kappa, so every peel stays there."""
         lam = a.label + b.label
-        remainder = a.poly * b.poly
-        combo: Dict[WeightVec, LaurentPoly] = {}
+        x_part = self.grading.x_part
+        remainder = mul_terms(a.f, b.f)
+        combo: Dict[WeightVec, Dict[Exponent, int]] = {}
 
         def peel(kappa: WeightVec) -> None:
-            nonlocal remainder
-            coeff = self._x_coefficient(remainder, kappa)
+            coeff = {
+                beta: c for beta, c in remainder.items() if x_part(lam.coords, beta) == kappa.coords
+            }
             if not coeff:
                 return
             theta = self.theta_by_label(kappa)
-            remainder = remainder - coeff * theta.poly
-            combo[kappa] = combo.get(kappa, LaurentPoly.zero(self.ctx)) + coeff
+            _add_into(remainder, mul_terms(coeff, theta.f), -1)
+            _add_into(combo.setdefault(kappa, {}), coeff, 1)
 
         for kappa in self.dominance_chain(lam):
             if not remainder:
                 break
             peel(kappa)
         budget = self.peel_budget
-        n = self.n
         while remainder:
             if budget == 0:
                 raise NonTerminating("theta-basis peeling exceeded its budget")
             budget -= 1
             # pointed leading term: minimal total u-degree, graded-lex max x-part
             best = min(
-                remainder.terms,
-                key=lambda e: (sum(e[n:]), tuple(-x for x in e[:n])),
+                remainder,
+                key=lambda beta: (sum(beta), tuple(-x for x in x_part(lam.coords, beta))),
             )
             try:
-                peel(WeightVec(best[:n]))
+                peel(WeightVec(x_part(lam.coords, best)))
             except NotInImaginaryWall as exc:
                 raise IdentityViolated(
                     f"product of imaginary thetas left d_infinity: {exc}"
                 ) from exc
-        for kappa, coeff in combo.items():
-            for e in coeff.terms:
-                if any(x < 0 for x in e[n:]):
+        for coeff in combo.values():
+            for gamma in coeff:
+                if any(x < 0 for x in gamma):
                     raise IdentityViolated("structure constant not in k[y]")
-        return {k: v for k, v in combo.items() if v}
+        zero = (0,) * self.n
+        return {
+            kappa: LaurentPoly(self.ctx, {zero + gamma: c for gamma, c in coeff.items()})
+            for kappa, coeff in combo.items()
+            if coeff
+        }
 
     # -- exchange identities --------------------------------------------------------
 
     def imaginary_exchange(self, tube_idx: int, i: int, j: int) -> dict:
         """Verify the three-term imaginary exchange relation for the pair
-        (delta - beta_[i], delta - beta_[j]) in one tube orbit; returns the
-        right-hand side pieces.  Raises IdentityViolated on failure."""
+        (delta - beta_[i], delta - beta_[j]) in one tube orbit.  Raises
+        IdentityViolated on failure."""
         tube = self.tubes[tube_idx]
         k = tube.size
         i %= k
@@ -465,24 +455,19 @@ class ThetaEngine:
         phi_p = TubeRoot(tube.index, (j + 1) % k, m - 1) if m > 1 else None
         vec_phi = tube_root_vector(tube, phi) if phi else RootVec((0,) * self.n)
         vec_phi_p = tube_root_vector(tube, phi_p) if phi_p else RootVec((0,) * self.n)
-        lhs = (
-            self.theta_tube_root(TubeRoot(tube.index, (i + 1) % k, k - 1)).poly
-            * self.theta_tube_root(TubeRoot(tube.index, (j + 1) % k, k - 1)).poly
+        lhs = self._arc_product(
+            TubeRoot(tube.index, (i + 1) % k, k - 1), TubeRoot(tube.index, (j + 1) % k, k - 1)
         )
-        t_main = self.theta_imaginary(self.data.delta + vec_phi + vec_phi_p).poly
-        sq_phi = self.theta_tube_root(phi).poly ** 2 if phi else self.one()
-        sq_phi_p = self.theta_tube_root(phi_p).poly ** 2 if phi_p else self.one()
-        term2 = self.y_monomial(vec_phi_p + tube.orbit[i]) * sq_phi
-        term3 = self.y_monomial(vec_phi + tube.orbit[j]) * sq_phi_p
-        if lhs != t_main + term2 + term3:
+        rhs = [
+            (1, None, self.theta_imaginary(self.data.delta + vec_phi + vec_phi_p)),
+            (1, vec_phi_p + tube.orbit[i], self._arc_product(phi, phi)),
+            (1, vec_phi + tube.orbit[j], self._arc_product(phi_p, phi_p)),
+        ]
+        if not self.same([(1, None, lhs)], rhs):
             raise IdentityViolated(
                 f"imaginary exchange failed for tube {tube_idx}, positions {i},{j}"
             )
-        return {
-            "vacuous": phi is None and phi_p is None,
-            "lhs": lhs,
-            "rhs": (t_main, term2, term3),
-        }
+        return {"vacuous": phi is None and phi_p is None}
 
     def real_exchange(self, tube_idx: int, j_set, gamma: TubeRoot) -> dict:
         """Verify the two-term exchange relation for a non-maximal gamma in a
@@ -491,23 +476,17 @@ class ThetaEngine:
         tube = self.tubes[tube_idx]
         info = nonmax_root_data(tube, j_set, gamma)
         gamma_p = exchange_partner(tube, j_set, gamma)
-
-        def tpoly(r: Optional[TubeRoot]) -> LaurentPoly:
-            return self.theta_tube_root(r).poly if r else self.one()
-
-        def vec(r: Optional[TubeRoot]) -> RootVec:
-            return tube_root_vector(tube, r) if r else RootVec((0,) * self.n)
-
-        lhs = self.theta_tube_root(gamma).poly * self.theta_tube_root(gamma_p).poly
-        first = tpoly(info.phi) * tpoly(info.phi2)
-        second = self.y_monomial(
-            vec(info.phi2) + tube.orbit[info.beta_prime_idx]
-        ) * tpoly(info.phi1) * tpoly(info.phi3)
-        if lhs != first + second:
+        phi2 = tube_root_vector(tube, info.phi2) if info.phi2 else RootVec((0,) * self.n)
+        lhs = [(1, None, self._arc_product(gamma, gamma_p))]
+        rhs = [
+            (1, None, self._arc_product(info.phi, info.phi2)),
+            (1, phi2 + tube.orbit[info.beta_prime_idx], self._arc_product(info.phi1, info.phi3)),
+        ]
+        if not self.same(lhs, rhs):
             raise IdentityViolated(
                 f"real exchange failed for {gamma} in tube {tube_idx}"
             )
-        return {"lhs": lhs, "rhs": (first, second), "partner": gamma_p}
+        return {"partner": gamma_p}
 
     # -- coefficient specialization ---------------------------------------------
 

@@ -159,6 +159,8 @@ def test_non_affine_matrix_exits_2(tmp_path, capsys):
         ("theta2", "--matrix", "a1t22", "--lambda", "1,1", "--order", "-1"),
         ("theta", "--matrix", "d4t", "--target", "delta", "--depth", "-1"),
         ("verify", "--matrix", "a2t", "--depth", "-1"),
+        ("scatter2", "--matrix", "a1t22", "--order", "2", "--dump", "/nonexistent/x.json"),
+        ("gca-graph", "--matrix", "a3t", "--json", "/nonexistent/x.json"),
     ],
 )
 def test_malformed_word_vector_or_index_exits_2(capsys, argv):

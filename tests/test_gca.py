@@ -13,8 +13,8 @@ from affcluster.gca import (
     t_o_check,
     trop_add,
 )
-from affcluster.poly import ContextMismatch, from_json_dict, to_json_dict
-from affcluster.theta import ThetaEngine
+from affcluster.poly import ContextMismatch, NonInvertibleImage, from_json_dict, to_json_dict
+from affcluster.theta import IdentityViolated, ThetaEngine
 
 B_A2T = ((0, 1, 1), (-1, 0, 1), (-1, -1, 0))
 B_A3T = ((0, 1, 0, 1), (-1, 0, 1, 0), (0, -1, 0, 1), (-1, 0, -1, 0))
@@ -253,7 +253,36 @@ def test_kernel_generators_vanish_under_substitution():
         for t in range(tube.size):
             m = m * TropMonomial.make({("z", tube.index, t): 1})
         prods.append(t_o_image(eng, m))
-    assert prods[0] == prods[1] == eng.y_monomial(eng.data.delta)
+    assert len(prods) == 2
+    assert all(eng.same([p], [(1, eng.data.delta, None)]) for p in prods)
+
+
+def test_t_o_image_is_a_pointed_term():
+    from affcluster.gca import t_o_image
+
+    eng = ThetaEngine(B_A2T)
+    star, z0 = ("star",), ("z", 0, 0)
+    # z_star^2 z_0 -> y^beta_0 theta_delta^2 = y^beta_0 (theta_2delta + 2 y^delta)
+    image = t_o_image(eng, TropMonomial.make({star: 2, z0: 1}))
+    beta0, delta = eng.tubes[0].orbit[0], eng.data.delta
+    assert eng.same([image], [(1, beta0, eng.theta_k_delta(2)), (2, beta0 + delta, None)])
+    with pytest.raises(NonInvertibleImage):
+        t_o_image(eng, TropMonomial.make({star: -1}))
+
+
+def test_t_o_check_rejects_a_wrong_image(monkeypatch):
+    # doubling every coefficient image breaks each relation, with and
+    # without coefficients
+    from affcluster import gca
+
+    eng = ThetaEngine(B_A3T)
+    jset = sorted(maximal_compatible_sets(eng.tubes[0]))[0]
+    graph = enumerate_exchange_graph(eng.tubes, *build_tube_seed(eng.tubes, jset))
+    image = gca.t_o_image
+    monkeypatch.setattr(gca, "t_o_image", lambda e, m: (2, *image(e, m)[1:]))
+    for coefficient_free in (False, True):
+        with pytest.raises(IdentityViolated):
+            t_o_check(eng, eng.tubes, graph, coefficient_free=coefficient_free)
 
 
 B_D4T = (
@@ -293,4 +322,5 @@ def test_three_tube_exchange_identities():
         for t in range(tube.size):
             m = m * TropMonomial.make({("z", tube.index, t): 1})
         images.append(t_o_image(eng, m))
-    assert images[0] == images[1] == images[2] == eng.y_monomial(eng.data.delta)
+    assert len(images) == 3
+    assert all(eng.same([p], [(1, eng.data.delta, None)]) for p in images)

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from affcluster import cli
+from affcluster import cli, gca
 from affcluster.affine import (
     NotInImaginaryWall,
     TubeRoot,
@@ -166,14 +166,141 @@ def test_pointed_form_matches_laurent_products():
                 assert eng.theta_imaginary(phi).poly == want
 
 
-def test_cheby_family_multiplies_no_laurent_polynomials(monkeypatch):
-    eng = ThetaEngine(B_A2T)
-    eng.theta_delta()  # the g-vector search behind it multiplies LaurentPolys
+def test_identity_checks_multiply_no_laurent_polynomials(monkeypatch):
+    # every identity family and the t_o substitution check run in pointed
+    # form once the thetas they read are cached; the g-vector search and
+    # generalized seed mutation behind those caches multiply LaurentPolys
+    eng = ThetaEngine(B_A3T)
+    families = ["cheby", "imexch", "realexch", "expansion", "tube-closure"]
+    graphs = [cli._tube_graph(eng, tube) for tube in eng.tubes]
+
+    def run_all():
+        for name in families:
+            assert cli.run_identity(eng, name, kmax=4) == []
+        for graph in graphs:
+            assert gca.t_o_check(eng, eng.tubes, graph) > 0
+            assert gca.t_o_check(eng, eng.tubes, graph, coefficient_free=True) > 0
+
+    run_all()
     calls = []
-    mul = LaurentPoly.__mul__
-    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    assert cli.run_identity(eng, "cheby", kmax=4) == []
+    mul, power = LaurentPoly.__mul__, LaurentPoly.__pow__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
+    monkeypatch.setattr(LaurentPoly, "__pow__", lambda a, k: calls.append("pow") or power(a, k))
+    run_all()
     assert not calls
+
+
+def _reference_poly_sum(eng, terms):
+    """sum c y^gamma theta as a LaurentPoly, built term by term."""
+    out = LaurentPoly.zero(eng.ctx)
+    for c, gamma, theta in terms:
+        piece = eng.y_monomial(RootVec((0,) * eng.n) if gamma is None else gamma, c)
+        out = out + (piece if theta is None else piece * theta.poly)
+    return out
+
+
+def _reference_expand_product(eng, a, b):
+    """Greedy peeling of theta_a * theta_b on LaurentPolys: the x-coefficient
+    of each peeled label is read off the full product."""
+    n = eng.n
+
+    def x_coefficient(p, kappa):
+        return LaurentPoly(
+            eng.ctx, {(0,) * n + e[n:]: c for e, c in p.terms.items() if e[:n] == kappa.coords}
+        )
+
+    remainder = a.poly * b.poly
+    combo = {}
+
+    def peel(kappa):
+        nonlocal remainder
+        coeff = x_coefficient(remainder, kappa)
+        if not coeff:
+            return
+        remainder = remainder - coeff * eng.theta_by_label(kappa).poly
+        combo[kappa] = combo.get(kappa, LaurentPoly.zero(eng.ctx)) + coeff
+
+    for kappa in eng.dominance_chain(a.label + b.label):
+        if not remainder:
+            break
+        peel(kappa)
+    budget = eng.peel_budget
+    while remainder:
+        assert budget > 0
+        budget -= 1
+        best = min(remainder.terms, key=lambda e: (sum(e[n:]), tuple(-x for x in e[:n])))
+        peel(WeightVec(best[:n]))
+    return {k: v for k, v in combo.items() if v}
+
+
+def _tube_fixture_engines():
+    for name in cli.BUNDLED:
+        eng = ThetaEngine(cli.load_matrix(name).top())
+        if eng.tubes:
+            yield name, eng
+
+
+def test_same_matches_laurent_sums(rng):
+    # random sums of c y^gamma theta over thetas at many labels, against
+    # LaurentPoly equality; rhs is lhs regrouped (equal), perturbed in one
+    # coefficient (different), an exact theta-basis expansion of a product
+    # (equal across labels) or unrelated (almost always different)
+    outcomes = set()
+    for name, eng in _tube_fixture_engines():
+        tube = eng.tubes[0]
+        arcs = [eng.theta_tube_root(r) for r in all_arcs(tube) if r.length <= 2]
+        pool = arcs + [eng.theta_k_delta(1), None]
+        pool += [eng.multiply(rng.choice(arcs), rng.choice(arcs)) for _ in range(3)]
+        shifts = [None, eng.data.delta] + [root for t in eng.tubes for root in t.orbit]
+
+        def term():
+            return (rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice(shifts), rng.choice(pool))
+
+        for trial in range(24):
+            lhs = [term() for _ in range(rng.randint(1, 6))]
+            kind = trial % 4
+            if kind == 0:
+                rhs = []
+                for c, gamma, theta in lhs:
+                    part = rng.randint(-4, 4)
+                    rhs += [(part, gamma, theta), (c - part, gamma, theta)]
+                rhs.append((5, None, None))
+                lhs = lhs + [(2, None, None), (3, None, None)]
+                rng.shuffle(rhs)
+            elif kind == 1:
+                rhs = list(lhs)
+                c, gamma, theta = rhs[0]
+                rhs[0] = (c + 1, gamma, theta)
+            elif kind == 2:
+                a, b = rng.choice(arcs), rng.choice(arcs)
+                lhs = [(1, None, eng.multiply(a, b))]
+                rhs = [
+                    (c, RootVec(e[eng.n:]), eng.theta_by_label(kappa))
+                    for kappa, coeff in eng.expand_product(a, b).items()
+                    for e, c in coeff.terms.items()
+                ]
+            else:
+                rhs = [term() for _ in range(rng.randint(1, 6))]
+            want = _reference_poly_sum(eng, lhs) == _reference_poly_sum(eng, rhs)
+            assert eng.same(lhs, rhs) == want, (name, kind)
+            labels = {t.label for _, _, t in lhs + rhs if t is not None}
+            outcomes.add((kind, want, len(labels) > 1))
+    assert {(0, True, True), (1, False, True), (2, True, True), (3, False, True)} <= outcomes
+
+
+def test_expand_product_matches_laurent_peeling():
+    # the expansion and tube-closure pairs of every bundled tube fixture
+    for name, eng in _tube_fixture_engines():
+        pairs = []
+        for tube in eng.tubes:
+            for r in all_arcs(tube):
+                pairs += [(eng.theta_tube_root(r), eng.theta_k_delta(md)) for md in (1, 2)]
+            gens = [eng.theta_tube_root(r) for r in all_arcs(tube) if r.length <= 2]
+            pairs += itertools.product(gens, gens)
+        for a, b in pairs:
+            got = eng.expand_product(a, b)
+            want = _reference_expand_product(eng, a, b)
+            assert list(got.items()) == list(want.items()), (name, a.label, b.label)
 
 
 def test_theta_by_label_zero_is_one():
@@ -344,6 +471,18 @@ def test_expand_product_aborts_loudly_on_non_theta_input():
     )
     with pytest.raises((IdentityViolated, NonTerminating)):
         eng.expand_product(bad, eng.theta_delta())
+
+
+def test_theta_from_sum_checks_the_label():
+    from affcluster.theta import IdentityViolated
+
+    eng = ThetaEngine(B_A2T)
+    t1 = eng.theta_delta()
+    with pytest.raises(IdentityViolated):
+        eng._theta_from_sum(t1.label.scale(2), [(1, None, t1)])
+    # theta_delta + 1 sits at two labels
+    with pytest.raises(IdentityViolated):
+        eng._theta_from_sum(t1.label, [(1, None, t1), (1, None, None)])
 
 
 def test_expand_product_budget_exhaustion_is_loud():
