@@ -1,24 +1,36 @@
 """Rank-2 cluster scattering diagrams by order-by-order consistency, and
 broken-line enumeration as an independent oracle for theta functions.
 
-Everything is exact: wall functions are Laurent polynomials truncated by
-total tropical degree, geometry runs on integer/Fraction vectors.  The
-scattering term on the imaginary wall is never assumed; it is produced by
-consistency completion.
+Everything is exact.  A wall with primitive normal n = (n1, n2) carries its
+function as the coefficient list c[0..K] of a power series in t = yhat^n,
+with c[0] = 1 and K = order // (n1 + n2), the largest power of t within
+tropical degree `order`.  Its powers f^a, a of either sign, are built one
+factor at a time from truncated list products and cached on the wall; f^-1
+comes from the recursion inv[k] = -sum_{j=1..k} c[j] inv[k-j].
+
+Every monomial of a loop product that starts at x^{e_gen} is
+x^{e_gen + B m} u^m, so wall crossing works on pointed term maps m -> c and
+stops each inner loop at tropical degree `order` instead of truncating a
+full product.  A LaurentPoly is built only at the output edge: Wall2.series,
+the consistency defects and the broken-line sums.  The scattering term on
+the imaginary wall is never assumed; it is produced by consistency
+completion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import LaurentPoly, VarContext, default_context
+from .poly import Exponent, LaurentPoly, VarContext, default_context
 from .seeds import Rows, WeightVec, coroot_scalers, primitive_coroot
 
 Vec2 = Tuple[int, int]
+# a pointed term map: m -> c stands for c x^{start + B m} u^m
+Terms = Dict[Vec2, int]
 
 
 class InconsistentDiagram(AssertionError):
@@ -34,16 +46,42 @@ def _cross(a: Sequence, b: Sequence):
     return a[0] * b[1] - a[1] * b[0]
 
 
+def _mul_truncated(p: List[int], q: List[int]) -> List[int]:
+    """The product of two power series in t, both with len(p) coefficients,
+    truncated to that length."""
+    return [sum(p[j] * q[k - j] for j in range(k + 1)) for k in range(len(p))]
+
+
+_CTX: VarContext = default_context(2, 2)
+
+
 @dataclass
 class Wall2:
     """A wall: primitive normal in Q^+, a geometric locus (full line for the
-    initial walls, ray from the origin otherwise), and a truncated series in
-    yhat^normal with constant term 1."""
+    initial walls, ray from the origin otherwise), and a series in
+    t = yhat^normal with constant term 1, stored as the coefficient list
+    `coeffs` (coeffs[k] multiplies t^k).
+
+    An initial wall keeps its binomial 1 + t untruncated, so at order 0
+    `series` (and `scatter2 --order 0`) still reads 1 + yhat^normal, while
+    every power of it is truncated to degree 0."""
 
     normal: Vec2
     direction: Vec2  # a primitive direction vector; full lines use +-direction
     is_line: bool
-    series: LaurentPoly
+    coroot: Vec2  # the primitive coroot parallel to normal
+    yhat: Exponent  # exponent of yhat^normal = x^{B normal} u^normal
+    coeffs: List[int]
+    # f^a by exponent a, truncated at the diagram's order; cleared on change
+    powers: Dict[int, List[int]] = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def series(self) -> LaurentPoly:
+        """The wall function as a LaurentPoly in (x1, x2, u1, u2)."""
+        return LaurentPoly(
+            _CTX,
+            {tuple(k * s for s in self.yhat): c for k, c in enumerate(self.coeffs)},
+        )
 
 
 class ScatteringDiagram2:
@@ -55,28 +93,37 @@ class ScatteringDiagram2:
             raise ValueError("rank-2 only")
         self.b = tuple(tuple(r) for r in b)
         self.order = order
-        self.ctx: VarContext = default_context(2, 2)
+        self.ctx: VarContext = _CTX
         self.e = coroot_scalers(self.b)
         self.walls: List[Wall2] = []
         for i in range(2):
             normal = (1, 0) if i == 0 else (0, 1)
             direction = (0, 1) if i == 0 else (1, 0)
-            f = self._one() + self._yhat_monomial((1, 0) if i == 0 else (0, 1))
-            self.walls.append(Wall2(normal, direction, True, f))
+            self.walls.append(self._wall(normal, direction, True, [1, 1]))
         self._complete()
 
+    def _wall(self, normal: Vec2, direction: Vec2, is_line: bool, coeffs: List[int]) -> Wall2:
+        return Wall2(
+            normal, direction, is_line, self.coroot(normal), self._yhat(normal), coeffs
+        )
+
     # -- monomials -------------------------------------------------------------
+
+    def _yhat(self, m: Vec2) -> Exponent:
+        """Exponent of yhat^m = u^m x^{B m} in (x1, x2, u1, u2)."""
+        return (
+            self.b[0][0] * m[0] + self.b[0][1] * m[1],
+            self.b[1][0] * m[0] + self.b[1][1] * m[1],
+            m[0],
+            m[1],
+        )
 
     def _one(self) -> LaurentPoly:
         return LaurentPoly.const(self.ctx, 1)
 
     def _yhat_monomial(self, m: Vec2, coeff: int = 1) -> LaurentPoly:
         """yhat^m = u^m x^{B m}."""
-        bx = (
-            self.b[0][0] * m[0] + self.b[0][1] * m[1],
-            self.b[1][0] * m[0] + self.b[1][1] * m[1],
-        )
-        return LaurentPoly.monomial(self.ctx, (bx[0], bx[1], m[0], m[1]), coeff)
+        return LaurentPoly.monomial(self.ctx, self._yhat(m), coeff)
 
     def truncate(self, p: LaurentPoly) -> LaurentPoly:
         return LaurentPoly(
@@ -89,59 +136,74 @@ class ScatteringDiagram2:
 
     def outgoing_direction(self, beta: Vec2) -> Vec2:
         """Direction of the added wall with normal beta: the ray of -B beta."""
-        v = (
-            -(self.b[0][0] * beta[0] + self.b[0][1] * beta[1]),
-            -(self.b[1][0] * beta[0] + self.b[1][1] * beta[1]),
-        )
+        bx = self._yhat(beta)
+        v = (-bx[0], -bx[1])
         if v == (0, 0):
             raise InconsistentDiagram("normal with vanishing outgoing direction")
         return _primitive(v)
 
     # -- wall crossing -----------------------------------------------------------
 
-    def _power(self, wall: Wall2, e: int) -> LaurentPoly:
-        cache = getattr(wall, "_pows", None)
-        if cache is None:
-            cache = {}
-            wall._pows = cache  # type: ignore[attr-defined]
-        if e not in cache:
-            if e >= 0:
-                out = self._power_of(wall.series, e)
-            else:
-                g = wall.series - self._one()
-                inv = self._one()
-                powg = self._one()
-                for _ in range(self.order):
-                    powg = self.truncate(powg * g)
-                    if not powg:
-                        break
-                    sign = -1 if _ % 2 == 0 else 1
-                    inv = inv + powg.scale(sign)
-                out = self._power_of(inv, -e)
-            cache[e] = out
-        return cache[e]
-
-    def _power_of(self, p: LaurentPoly, e: int) -> LaurentPoly:
-        out = self._one()
-        for _ in range(e):
-            out = self.truncate(out * p)
+    def _power(self, wall: Wall2, a: int) -> List[int]:
+        """Coefficients of f^a in t = yhat^normal, a of either sign, truncated
+        to t^K with K = order // (n1 + n2).  f^-1 comes from
+        inv[k] = -sum_{j=1..k} c[j] inv[k-j]; every other power is one factor
+        f (or f^-1) times the cached power of the same sign nearest to a."""
+        pows = wall.powers
+        if not pows:
+            size = self.order // (wall.normal[0] + wall.normal[1]) + 1
+            f = (wall.coeffs + [0] * size)[:size]
+            inv = [1] + [0] * (size - 1)
+            for k in range(1, size):
+                inv[k] = -sum(f[j] * inv[k - j] for j in range(1, k + 1))
+            pows[1], pows[-1] = f, inv
+        step = 1 if a > 0 else -1
+        e = a
+        while e not in pows:
+            e -= step
+        out = pows[e]
+        while e != a:
+            e += step
+            out = pows[e] = _mul_truncated(out, pows[step])
         return out
 
-    def cross(self, p: LaurentPoly, wall: Wall2, eps: int) -> LaurentPoly:
-        """Apply the wall-crossing automorphism: each monomial with weight part
-        lambda picks up f^{eps <lambda, normal-check>}."""
-        check = self.coroot(wall.normal)
-        buckets: Dict[int, Dict[tuple, int]] = {}
-        for e, c in p.terms.items():
-            a = eps * (e[0] * check[0] + e[1] * check[1])
-            buckets.setdefault(a, {})[e] = c
-        out = LaurentPoly.zero(self.ctx)
-        for a, terms in buckets.items():
-            chunk = LaurentPoly(self.ctx, terms)
-            if a:
-                chunk = self.truncate(chunk * self._power(wall, a))
-            out = out + chunk
-        return out
+    def _sign(self, direction: Vec2, wall: Wall2) -> int:
+        """The exponent sign of a counterclockwise crossing of the wall's ray
+        along `direction`."""
+        check = wall.coroot
+        slope = direction[0] * check[1] - direction[1] * check[0]
+        if slope == 0:
+            raise InconsistentDiagram("tangent crossing (degenerate geometry)")
+        return 1 if slope < 0 else -1
+
+    def cross(self, p: Terms, start: Vec2, wall: Wall2, eps: int) -> Terms:
+        """Apply the wall-crossing automorphism to the term map p pointed at
+        x^start: the monomial x^{start + B m} u^m picks up
+        f^{eps <start + B m, normal-check>}, truncated at tropical degree
+        `order` term by term."""
+        check = wall.coroot
+        b = self.b
+        base = start[0] * check[0] + start[1] * check[1]
+        w0 = b[0][0] * check[0] + b[1][0] * check[1]
+        w1 = b[0][1] * check[0] + b[1][1] * check[1]
+        n0, n1 = wall.normal
+        size = n0 + n1
+        order = self.order
+        out: Terms = {}
+        get = out.get
+        for m, c in p.items():
+            m0, m1 = m
+            a = eps * (base + w0 * m0 + w1 * m1)
+            if not a:
+                out[m] = get(m, 0) + c
+                continue
+            power = self._power(wall, a)
+            for k in range((order - m0 - m1) // size + 1):
+                pk = power[k]
+                if pk:
+                    key = (m0 + k * n0, m1 + k * n1)
+                    out[key] = get(key, 0) + c * pk
+        return {m: c for m, c in out.items() if c}
 
     # -- the path-ordered loop product -------------------------------------------
 
@@ -170,36 +232,42 @@ class ScatteringDiagram2:
 
         return sorted(self._sites(), key=cmp_to_key(compare))
 
-    def loop_product(self, generator: int) -> LaurentPoly:
-        """Image of x^{rho_generator} under the full counterclockwise loop."""
-        start = LaurentPoly.monomial(
-            self.ctx, (1, 0, 0, 0) if generator == 0 else (0, 1, 0, 0)
-        )
-        p = start
+    def loop_product(self, generator: int) -> Terms:
+        """Image of x^{rho_generator} under the full counterclockwise loop,
+        as the term map m -> c of x^{rho_generator + B m} u^m."""
+        start = (1, 0) if generator == 0 else (0, 1)
+        p: Terms = {(0, 0): 1}
         for direction, wall in self._crossings():
-            check = self.coroot(wall.normal)
-            tangent = (-direction[1], direction[0])
-            slope = tangent[0] * check[0] + tangent[1] * check[1]
-            if slope == 0:
-                raise InconsistentDiagram("tangent crossing (degenerate geometry)")
-            eps = 1 if slope < 0 else -1
-            p = self.cross(p, wall, eps)
+            p = self.cross(p, start, wall, self._sign(direction, wall))
         return p
 
+    def _defect_terms(self, generator: int) -> Terms:
+        """The loop product divided by its start, minus 1, as m -> c of
+        c yhat^m."""
+        terms = self.loop_product(generator)
+        terms[(0, 0)] = terms.get((0, 0), 0) - 1
+        if not terms[(0, 0)]:
+            del terms[(0, 0)]
+        return terms
+
     def defect(self, generator: int) -> LaurentPoly:
-        base = (1, 0, 0, 0) if generator == 0 else (0, 1, 0, 0)
-        loop = self.loop_product(generator)
-        return loop.shift(tuple(-x for x in base)) - self._one()
+        return LaurentPoly(
+            self.ctx, {self._yhat(m): c for m, c in self._defect_terms(generator).items()}
+        )
 
     # -- completion ------------------------------------------------------------------
 
     def _complete(self) -> None:
         by_normal: Dict[Vec2, Wall2] = {}
+        defects: List[Terms] = []
         for deg in range(2, self.order + 1):
+            # the walls change only when a degree needs corrections, so the
+            # previous degree's recheck already holds this degree's defects
+            if not defects:
+                defects = [self._defect_terms(gen) for gen in range(2)]
             needed: Dict[Vec2, Dict[int, int]] = {}
-            for gen in range(2):
-                for e, c in self.defect(gen).terms.items():
-                    m = (e[2], e[3])
+            for gen, terms in enumerate(defects):
+                for m, c in terms.items():
                     total = m[0] + m[1]
                     if total < deg:
                         raise InconsistentDiagram(
@@ -217,22 +285,22 @@ class ScatteringDiagram2:
                 coeff = needed[m][gen]
                 wall = by_normal.get(beta)
                 if wall is None:
-                    wall = Wall2(beta, self.outgoing_direction(beta), False, self._one())
+                    top = self.order // (beta[0] + beta[1])
+                    wall = self._wall(
+                        beta, self.outgoing_direction(beta), False, [1] + [0] * top
+                    )
                     by_normal[beta] = wall
                     self.walls.append(wall)
-                tangent = (-wall.direction[1], wall.direction[0])
-                slope = tangent[0] * check[0] + tangent[1] * check[1]
-                eps = 1 if slope < 0 else -1
-                denom = eps * check[gen]
+                denom = self._sign(wall.direction, wall) * check[gen]
                 if coeff % denom != 0:
                     raise InconsistentDiagram("non-integer wall correction")
-                wall.series = wall.series + self._yhat_monomial(m, -coeff // denom)
-                wall._pows = {}  # type: ignore[attr-defined]
+                k = m[0] // beta[0] if beta[0] else m[1] // beta[1]
+                wall.coeffs[k] += -coeff // denom
+                wall.powers.clear()
             if needed:
-                for gen in range(2):
-                    if any(
-                        e[2] + e[3] <= deg for e in self.defect(gen).terms
-                    ):
+                defects = [self._defect_terms(gen) for gen in range(2)]
+                for terms in defects:
+                    if any(m[0] + m[1] <= deg for m in terms):
                         raise InconsistentDiagram(
                             f"completion failed to fix degree {deg}"
                         )
@@ -279,7 +347,8 @@ def enumerate_broken_lines_rank2(
     The search walks the line from infinity: bend points are positions
     s_i * w_i on the crossing sites; the collinearity chain makes every s_i a
     fixed positive multiple of s_1, so sign conditions prune the tree and the
-    endpoint equation finally pins s_1 itself."""
+    endpoint equation finally pins s_1 itself.  A bend at a wall with
+    exponent e picks the coefficient of t^j in f^|e|, t = yhat^normal."""
     if lam.coords == (0, 0):
         raise ValueError("lambda must be nonzero")
     if order is None:
@@ -312,24 +381,15 @@ def enumerate_broken_lines_rank2(
     def extend(path, lam_cur, m_cur, coeff, scale):
         # try to end here
         if final_check(path, lam_cur, scale):
-            out.append(
-                BrokenLine2(
-                    tuple((p[0], p[1], p[2]) for p in path),
-                    coeff,
-                    lam_cur,
-                    m_cur,
-                )
-            )
+            out.append(BrokenLine2(tuple(path), coeff, lam_cur, m_cur))
         budget = order - (m_cur[0] + m_cur[1])
         if budget <= 0:
             return
         for direction, wall in sites:
-            beta = wall.normal
-            check = diagram.coroot(beta)
+            check = wall.coroot
             e = lam_cur[0] * check[0] + lam_cur[1] * check[1]
             if e == 0:
                 continue
-            power = diagram._power(wall, abs(e))
             if path:
                 w_prev = path[-1][0]
                 num = _cross(w_prev, lam_cur)
@@ -356,29 +416,31 @@ def enumerate_broken_lines_rank2(
                 # the unbounded ray travels along -lam_cur and must actually
                 # reach the site from its own side; with s_1 free this is
                 # always arrangeable except for parallel travel (e == 0).
-            for j in range(1, budget // max(1, beta[0] + beta[1]) + 1):
-                mvec = (j * beta[0], j * beta[1])
-                key = (
-                    diagram.b[0][0] * mvec[0] + diagram.b[0][1] * mvec[1],
-                    diagram.b[1][0] * mvec[0] + diagram.b[1][1] * mvec[1],
-                    mvec[0],
-                    mvec[1],
-                )
-                c = power.terms.get(key, 0)
+            power = diagram._power(wall, abs(e))
+            beta, step = wall.normal, wall.yhat
+            for j in range(1, min(budget // (beta[0] + beta[1]) + 1, len(power))):
+                c = power[j]
                 if c == 0:
                     continue
-                lam_new = (key[0] + lam_cur[0], key[1] + lam_cur[1])
-                m_new = (m_cur[0] + mvec[0], m_cur[1] + mvec[1])
                 extend(
                     path + [(direction, beta, j)],
-                    lam_new,
-                    m_new,
+                    (lam_cur[0] + j * step[0], lam_cur[1] + j * step[1]),
+                    (m_cur[0] + j * beta[0], m_cur[1] + j * beta[1]),
                     coeff * c,
                     new_scale,
                 )
 
     extend([], lam.coords, (0, 0), 1, Fraction(1))
     return out
+
+
+def _sum_monomials(ctx: VarContext, monomials) -> LaurentPoly:
+    """One LaurentPoly from (exponent, coefficient) pairs, like exponents
+    added together."""
+    total: Dict[Exponent, int] = {}
+    for e, c in monomials:
+        total[e] = total.get(e, 0) + c
+    return LaurentPoly(ctx, total)
 
 
 def theta_via_broken_lines(
@@ -391,14 +453,9 @@ def theta_via_broken_lines(
     if lam.coords == (0, 0):
         return LaurentPoly.const(diagram.ctx, 1)
     lines = enumerate_broken_lines_rank2(diagram, lam, endpoint, order)
-    total = LaurentPoly.zero(diagram.ctx)
-    for bl in lines:
-        total = total + LaurentPoly.monomial(
-            diagram.ctx,
-            (bl.weight[0], bl.weight[1], bl.tropical[0], bl.tropical[1]),
-            bl.coeff,
-        )
-    return total
+    return _sum_monomials(
+        diagram.ctx, ((bl.weight + bl.tropical, bl.coeff) for bl in lines)
+    )
 
 
 def pair_structure_constant(
@@ -413,16 +470,14 @@ def pair_structure_constant(
     with final weights adding to lam, both ending at chi."""
     lines1 = enumerate_broken_lines_rank2(diagram, p1, endpoint, order)
     lines2 = enumerate_broken_lines_rank2(diagram, p2, endpoint, order)
-    total = LaurentPoly.zero(diagram.ctx)
-    for s1 in lines1:
-        for s2 in lines2:
-            if (
-                s1.weight[0] + s2.weight[0] == lam.coords[0]
-                and s1.weight[1] + s2.weight[1] == lam.coords[1]
-            ):
-                total = total + LaurentPoly.monomial(
-                    diagram.ctx,
-                    (0, 0, s1.tropical[0] + s2.tropical[0], s1.tropical[1] + s2.tropical[1]),
-                    s1.coeff * s2.coeff,
-                )
-    return total
+    return _sum_monomials(
+        diagram.ctx,
+        (
+            ((0, 0, s1.tropical[0] + s2.tropical[0], s1.tropical[1] + s2.tropical[1]),
+             s1.coeff * s2.coeff)
+            for s1 in lines1
+            for s2 in lines2
+            if s1.weight[0] + s2.weight[0] == lam.coords[0]
+            and s1.weight[1] + s2.weight[1] == lam.coords[1]
+        ),
+    )

@@ -108,6 +108,27 @@ def test_scatter2_and_theta2(tmp_path, capsys):
     assert json.loads(out)["theta"].count("+") == 2
 
 
+def test_scatter2_order_zero_keeps_initial_binomials(capsys):
+    # at order 0 nothing is completed, and the initial walls print their
+    # untruncated functions 1 + yhat1 and 1 + yhat2
+    code, out = run(capsys, "scatter2", "--matrix", "a1t22", "--order", "0", "--format", "json")
+    assert code == 0
+    names = ["x1", "x2", "u1", "u2"]
+
+    def series(*terms):
+        return {"vars": names, "terms": [{"c": "1", "e": list(e)} for e in terms]}
+
+    assert json.loads(out) == {
+        "order": 0,
+        "walls": [
+            {"normal": [1, 0], "direction": [0, 1], "line": True,
+             "series": series((0, 0, 0, 0), (0, -2, 1, 0))},
+            {"normal": [0, 1], "direction": [1, 0], "line": True,
+             "series": series((2, 0, 0, 1), (0, 0, 0, 0))},
+        ],
+    }
+
+
 def test_expand_subcommand(capsys):
     code, out = run(capsys, "expand", "--matrix", "a3t", "--root", "1,1,2,1", "--format", "json")
     assert code == 0

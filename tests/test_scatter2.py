@@ -1,15 +1,22 @@
 """Rank-2 scattering diagrams and the broken-line theta oracle."""
 
 from fractions import Fraction
+from functools import cmp_to_key
 
-from affcluster.poly import LaurentPoly
+import pytest
+
+from affcluster.poly import LaurentPoly, default_context
 from affcluster.scatter2 import (
+    DEFAULT_ENDPOINT,
+    InconsistentDiagram,
+    _cross,
+    _primitive,
     complete_scattering_rank2,
     enumerate_broken_lines_rank2,
     pair_structure_constant,
     theta_via_broken_lines,
 )
-from affcluster.seeds import WeightVec
+from affcluster.seeds import WeightVec, coroot_scalers, primitive_coroot
 from affcluster.theta import ThetaEngine
 
 B_KRON = ((0, 2), (-2, 0))
@@ -178,3 +185,246 @@ def test_broken_lines_transposed_sign_patterns():
         for w in d.walls:
             if not w.is_line:
                 assert w.direction[0] > 0 and w.direction[1] < 0
+
+
+# -- the LaurentPoly diagram as a reference ------------------------------------
+
+
+class _ReferenceWall:
+    def __init__(self, normal, direction, is_line, series):
+        self.normal = normal
+        self.direction = direction
+        self.is_line = is_line
+        self.series = series
+        self.pows = {}
+
+
+class _ReferenceDiagram:
+    """The rank-2 diagram with every wall function, wall-crossing image and
+    power a truncated LaurentPoly, completed by the same consistency rule."""
+
+    _BASE = (7, 3)
+
+    def __init__(self, b, order):
+        self.b = b
+        self.order = order
+        self.ctx = default_context(2, 2)
+        self.e = coroot_scalers(b)
+        self.walls = []
+        for normal, direction in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
+            f = self._one() + self._yhat_monomial(normal)
+            self.walls.append(_ReferenceWall(normal, direction, True, f))
+        self._complete()
+
+    def _one(self):
+        return LaurentPoly.const(self.ctx, 1)
+
+    def _yhat_monomial(self, m, coeff=1):
+        b = self.b
+        e = (b[0][0] * m[0] + b[0][1] * m[1], b[1][0] * m[0] + b[1][1] * m[1], m[0], m[1])
+        return LaurentPoly.monomial(self.ctx, e, coeff)
+
+    def truncate(self, p):
+        return LaurentPoly(self.ctx, {e: c for e, c in p.terms.items() if e[2] + e[3] <= self.order})
+
+    def coroot(self, beta):
+        return primitive_coroot(beta, self.e)
+
+    def _power(self, wall, e):
+        if e not in wall.pows:
+            base = wall.series
+            if e < 0:
+                g = wall.series - self._one()
+                base = powg = self._one()
+                for i in range(self.order):
+                    powg = self.truncate(powg * g)
+                    base = base + powg.scale(-1 if i % 2 == 0 else 1)
+            out = self._one()
+            for _ in range(abs(e)):
+                out = self.truncate(out * base)
+            wall.pows[e] = out
+        return wall.pows[e]
+
+    def cross(self, p, wall, eps):
+        check = self.coroot(wall.normal)
+        buckets = {}
+        for e, c in p.terms.items():
+            buckets.setdefault(eps * (e[0] * check[0] + e[1] * check[1]), {})[e] = c
+        out = LaurentPoly.zero(self.ctx)
+        for a, terms in buckets.items():
+            chunk = LaurentPoly(self.ctx, terms)
+            if a:
+                chunk = self.truncate(chunk * self._power(wall, a))
+            out = out + chunk
+        return out
+
+    def _sites(self):
+        sites = []
+        for w in self.walls:
+            sites.append((w.direction, w))
+            if w.is_line:
+                sites.append(((-w.direction[0], -w.direction[1]), w))
+        return sites
+
+    def _eps(self, direction, wall):
+        check = self.coroot(wall.normal)
+        slope = -direction[1] * check[0] + direction[0] * check[1]
+        if slope == 0:
+            raise InconsistentDiagram("tangent crossing (degenerate geometry)")
+        return 1 if slope < 0 else -1
+
+    def defect(self, generator):
+        base = self._BASE
+
+        def compare(a, b):
+            ha, hb = (0 if _cross(base, v[0]) > 0 else 1 for v in (a, b))
+            if ha != hb:
+                return ha - hb
+            c = _cross(a[0], b[0])
+            return 0 if c == 0 else (-1 if c > 0 else 1)
+
+        start = (1, 0, 0, 0) if generator == 0 else (0, 1, 0, 0)
+        p = LaurentPoly.monomial(self.ctx, start)
+        for direction, wall in sorted(self._sites(), key=cmp_to_key(compare)):
+            p = self.cross(p, wall, self._eps(direction, wall))
+        return p.shift(tuple(-x for x in start)) - self._one()
+
+    def consistency_defects(self):
+        return self.defect(0), self.defect(1)
+
+    def _complete(self):
+        by_normal = {}
+        for deg in range(2, self.order + 1):
+            needed = {}
+            for gen in range(2):
+                for e, c in self.defect(gen).terms.items():
+                    assert e[2] + e[3] >= deg
+                    if e[2] + e[3] == deg:
+                        needed.setdefault((e[2], e[3]), {})[gen] = c
+            for m in sorted(needed):
+                beta = _primitive(m)
+                check = self.coroot(beta)
+                usable = [g for g in (0, 1) if check[g] != 0 and needed[m].get(g)]
+                if not usable:
+                    continue
+                gen = usable[0]
+                wall = by_normal.get(beta)
+                if wall is None:
+                    b = self.b
+                    v = (-(b[0][0] * beta[0] + b[0][1] * beta[1]), -(b[1][0] * beta[0] + b[1][1] * beta[1]))
+                    wall = by_normal[beta] = _ReferenceWall(beta, _primitive(v), False, self._one())
+                    self.walls.append(wall)
+                denom = self._eps(wall.direction, wall) * check[gen]
+                assert needed[m][gen] % denom == 0
+                wall.series = wall.series + self._yhat_monomial(m, -needed[m][gen] // denom)
+                wall.pows = {}
+            for gen in range(2):
+                assert all(e[2] + e[3] > deg for e in self.defect(gen).terms)
+
+
+def _reference_theta(ref, lam, endpoint=DEFAULT_ENDPOINT):
+    """theta_lam as the sum over broken lines on the reference diagram, bend
+    coefficients read from its LaurentPoly wall powers."""
+    if lam == (0, 0):
+        return LaurentPoly.const(ref.ctx, 1)
+    b = ref.b
+    total = LaurentPoly.zero(ref.ctx)
+
+    def travel_time(delta, lam_cur):
+        for comp in range(2):
+            if lam_cur[comp]:
+                return -Fraction(delta[comp]) / lam_cur[comp]
+        return None
+
+    def ends(path, lam_cur, scale):
+        if not path:
+            return True
+        w_last = path[-1]
+        den = Fraction(_cross(w_last, lam_cur)) * scale
+        if den == 0:
+            return False
+        s1 = Fraction(_cross(endpoint, lam_cur)) / den
+        if s1 <= 0:
+            return False
+        c_last = scale * s1
+        t = travel_time((endpoint[0] - c_last * w_last[0], endpoint[1] - c_last * w_last[1]), lam_cur)
+        return t is not None and t > 0
+
+    def extend(path, lam_cur, m_cur, coeff, scale):
+        nonlocal total
+        if ends(path, lam_cur, scale):
+            total = total + LaurentPoly.monomial(ref.ctx, lam_cur + m_cur, coeff)
+        budget = ref.order - sum(m_cur)
+        if budget <= 0:
+            return
+        for direction, wall in ref._sites():
+            beta = wall.normal
+            check = ref.coroot(beta)
+            e = lam_cur[0] * check[0] + lam_cur[1] * check[1]
+            if e == 0:
+                continue
+            new_scale = Fraction(1)
+            if path:
+                den = _cross(direction, lam_cur)
+                if den == 0:
+                    continue
+                new_scale = scale * Fraction(_cross(path[-1], lam_cur), den)
+                if new_scale <= 0:
+                    continue
+                delta = (new_scale * direction[0] - scale * path[-1][0], new_scale * direction[1] - scale * path[-1][1])
+                t = travel_time(delta, lam_cur)
+                if t is None or t <= 0:
+                    continue
+            power = ref._power(wall, abs(e))
+            for j in range(1, budget // (beta[0] + beta[1]) + 1):
+                m = (j * beta[0], j * beta[1])
+                key = (b[0][0] * m[0] + b[0][1] * m[1], b[1][0] * m[0] + b[1][1] * m[1]) + m
+                c = power.terms.get(key, 0)
+                if c:
+                    extend(path + [direction], (lam_cur[0] + key[0], lam_cur[1] + key[1]),
+                           (m_cur[0] + m[0], m_cur[1] + m[1]), coeff * c, new_scale)
+
+    extend([], lam, (0, 0), 1, Fraction(1))
+    return total
+
+
+A2, B2, C2, G2 = ((0, 1), (-1, 0)), ((0, 1), (-2, 0)), ((0, 2), (-1, 0)), ((0, 1), (-3, 0))
+KRON_T = ((0, -2), (2, 0))
+WILD_33 = ((0, 3), (-3, 0))
+
+
+@pytest.mark.parametrize(
+    "b",
+    RANK2 + [KRON_T, A2, B2, C2, G2, WILD_33],
+    ids=["kron", "41", "14", "kron-t", "A2", "B2", "C2", "G2", "wild33"],
+)
+def test_term_map_diagram_matches_laurent_reference(b):
+    lams = [(-1, 1), (2, -1), (1, 0)]
+    if b in RANK2 + [KRON_T]:
+        data = ThetaEngine(b).data
+        nu = data.nu_c(data.delta)
+        lams += [nu.scale(k).coords for k in (1, 2)]
+    for order in range(11):
+        ref = _ReferenceDiagram(b, order)
+        d = complete_scattering_rank2(b, order)
+        assert [(w.normal, w.direction, w.is_line, w.series) for w in d.walls] == [
+            (w.normal, w.direction, w.is_line, w.series) for w in ref.walls
+        ]
+        assert all(not x for x in d.consistency_defects())
+        for lam in lams:
+            assert theta_via_broken_lines(d, WeightVec(lam)) == _reference_theta(ref, lam)
+
+
+def test_completion_and_broken_lines_multiply_no_laurent_polynomials(monkeypatch):
+    # wall functions, their powers and wall-crossing images are coefficient
+    # lists and term maps; LaurentPoly is only built for the output
+    data = ThetaEngine(B_KRON).data
+    nu = data.nu_c(data.delta)
+    calls = []
+    mul, power = LaurentPoly.__mul__, LaurentPoly.__pow__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
+    monkeypatch.setattr(LaurentPoly, "__pow__", lambda a, k: calls.append("pow") or power(a, k))
+    d = complete_scattering_rank2(B_KRON, 12)
+    for lam in (nu, nu.scale(3), WeightVec((-1, 2))):
+        assert theta_via_broken_lines(d, lam)
+    assert not calls
