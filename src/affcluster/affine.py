@@ -2,7 +2,13 @@
 action, tube detection, arc combinatorics and the nu_c map.
 
 Roots are integer vectors in the simple-root basis (RootVec), weights in the
-fundamental-weight basis (WeightVec).  All arithmetic is exact (int/Fraction).
+fundamental-weight basis (WeightVec).  All arithmetic is exact.  Set-up and
+the imaginary-wall solve run on integers: the one elimination routine, _rref,
+is fraction-free and returns integer rows over a common denominator d > 0;
+the tube test omega_c(delta, v) = 0 is an integer dot product; and the wall
+solve reads numerators over d, testing divisibility and sign.  Fraction
+remains only in the symmetrizers AffineData.d and in the forms omega_form
+and pair_weight_root.
 """
 
 from __future__ import annotations
@@ -10,7 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .seeds import (
@@ -95,36 +102,45 @@ def cartan_matrix(b: Rows) -> Rows:
 
 def _rref(
     rows: Sequence[Sequence[int]],
-) -> Tuple[List[List[Fraction]], List[int], Fraction]:
-    """Exact Gauss-Jordan elimination.
+) -> Tuple[List[List[int]], List[int], int, int]:
+    """Exact fraction-free (Bareiss) Gauss-Jordan elimination over the integers.
 
-    Returns the reduced row echelon form, the pivot column of each of its
-    leading rows in order, and the determinant, which is 0 unless the matrix
-    is square and invertible."""
-    m = [[Fraction(x) for x in r] for r in rows]
+    Returns (R, pivots, d, det): integer rows R = d * rref(A) with the common
+    denominator d > 0, the pivot column of each leading row in order, and the
+    determinant, which is 0 unless the matrix is square and invertible.  After
+    k pivots every entry is a k x k minor of A, so each division by the
+    previous pivot is exact and every pivot entry equals the current pivot."""
+    m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0])
     pivots: List[int] = []
-    det = Fraction(1)
+    prev = 1
+    sign = 1
     for col in range(ncols):
         row = len(pivots)
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        pivot = next((r for r in range(row, nrows) if m[r][col]), None)
         if pivot is None:
             continue
         if pivot != row:
             m[row], m[pivot] = m[pivot], m[row]
-            det = -det
-        det *= m[row][col]
-        inv = 1 / m[row][col]
-        # Cartan-type matrices are sparse: skip the products with zero.
-        prow = m[row] = [v * inv if v else v for v in m[row]]
+            sign = -sign
+        prow = m[row]
+        p = prow[col]
         for r in range(nrows):
+            if r == row:
+                continue
             factor = m[r][col]
-            if r != row and factor:
-                m[r] = [a - factor * b if b else a for a, b in zip(m[r], prow)]
+            # Cartan-type matrices are sparse: skip the products with zero.
+            if factor:
+                m[r] = [(p * a - factor * b) // prev for a, b in zip(m[r], prow)]
+            elif p != prev:
+                m[r] = [p * a // prev if a else 0 for a in m[r]]
+        prev = p
         pivots.append(col)
-    if nrows != ncols or len(pivots) != nrows:
-        det = Fraction(0)
-    return m, pivots, det
+    det = sign * prev if nrows == ncols == len(pivots) else 0
+    if prev < 0:
+        m = [[-a for a in r] for r in m]
+        prev = -prev
+    return m, pivots, prev, det
 
 
 @dataclass(frozen=True)
@@ -164,6 +180,15 @@ class AffineData:
             for r in seq:
                 v = self.reflect_root(r, v)
         return v
+
+    def coxeter_matrix(self) -> Rows:
+        """The matrix of c on simple-root coordinates: column j is c(alpha_j)."""
+        n = self.n
+        cols = [
+            self.coxeter_root(RootVec(tuple(int(i == j) for i in range(n)))).coords
+            for j in range(n)
+        ]
+        return tuple(tuple(col[i] for col in cols) for i in range(n))
 
     def coxeter_weight(self, w: WeightVec, power: int = 1) -> WeightVec:
         seq = tuple(reversed(self.order)) if power > 0 else self.order
@@ -241,25 +266,22 @@ def build_affine_data(matrix) -> AffineData:
     e = coroot_scalers(b)
     order = source_to_sink_order(b)
     a = cartan_matrix(b)
-    reduced, pivots, det = _rref(a)
+    reduced, pivots, denom, det = _rref(a)
     if det != 0:
         raise NotAffineType("Cartan determinant is nonzero")
     for size in range(1, n):
         for subset in itertools.combinations(range(n), size):
             minor = tuple(tuple(a[i][j] for j in subset) for i in subset)
-            if _rref(minor)[2] <= 0:
+            if _rref(minor)[3] <= 0:
                 raise NotAffineType("a proper principal minor is not positive")
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         raise NotAffineType("Cartan corank is not 1")
-    kern = [Fraction(0)] * n
-    kern[free[0]] = Fraction(1)
+    # the kernel over the common denominator: denom at the free column
+    ints = [0] * n
+    ints[free[0]] = denom
     for r, c in enumerate(pivots):
-        kern[c] = -reduced[r][free[0]]
-    denom_lcm = 1
-    for f in kern:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in kern]
+        ints[c] = -reduced[r][free[0]]
     g = 0
     for x in ints:
         g = gcd(g, x)
@@ -279,8 +301,7 @@ def build_affine_data(matrix) -> AffineData:
     data = AffineData(
         b=b, cartan=a, d=d, e=e, order=order, delta=delta, e_c=e_c, e_cinv=e_cinv,
     )
-    cols = [data.coxeter_root(RootVec(tuple(1 if i == j else 0 for i in range(n)))) for j in range(n)]
-    cox = tuple(tuple(cols[j].coords[i] for j in range(n)) for i in range(n))
+    cox = data.coxeter_matrix()
     # Howlett: E_{c^{-1}} * M_c = -E_c, and c fixes delta.
     for i in range(n):
         for j in range(n):
@@ -295,30 +316,32 @@ def build_affine_data(matrix) -> AffineData:
 # -- positive real roots and tubes -------------------------------------------
 
 def positive_real_roots(data: AffineData, height_bound: int) -> List[RootVec]:
-    """All positive real roots of height <= height_bound, by reflection closure."""
+    """All positive real roots of height <= height_bound, by reflection closure.
+
+    A reflection s_r changes only coordinate r, by minus the pairing of the
+    root with the simple coroot r; pairing 0 leaves the root fixed."""
     n = data.n
-    seen: Set[Tuple[int, ...]] = set()
-    frontier: List[RootVec] = []
-    for i in range(n):
-        v = RootVec(tuple(1 if j == i else 0 for j in range(n)))
-        seen.add(v.coords)
-        frontier.append(v)
+    # the nonzero entries of each Cartan row
+    rows = [[(i, x) for i, x in enumerate(row) if x] for row in data.cartan]
+    frontier = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    seen: Set[Tuple[int, ...]] = set(frontier)
     out = list(frontier)
     while frontier:
-        nxt: List[RootVec] = []
+        nxt: List[Tuple[int, ...]] = []
         for v in frontier:
+            height = sum(v)
             for r in range(n):
-                w = data.reflect_root(r, v)
-                if (
-                    w.coords not in seen
-                    and all(x >= 0 for x in w.coords)
-                    and sum(w.coords) <= height_bound
-                ):
-                    seen.add(w.coords)
+                pairing = sum(x * v[i] for i, x in rows[r])
+                if not pairing or v[r] < pairing or height - pairing > height_bound:
+                    continue
+                w = v[:r] + (v[r] - pairing,) + v[r + 1 :]
+                if w not in seen:
+                    seen.add(w)
                     out.append(w)
                     nxt.append(w)
         frontier = nxt
-    return sorted(out, key=lambda v: (sum(v.coords), v.coords))
+    out.sort(key=lambda v: (sum(v), v))
+    return [RootVec(v) for v in out]
 
 
 @dataclass(frozen=True)
@@ -350,28 +373,38 @@ def detect_tubes(data: AffineData, height_bound: Optional[int] = None) -> List[T
         height_bound = 4 * ht_delta
     if height_bound < ht_delta:
         raise HeightBoundTooSmall("height bound below the height of delta")
+    n = data.n
+    # lcm(e) * omega_c(delta, .) as an integer row vector
+    scale = lcm(*data.e)
+    weights = [scale // ei * di for ei, di in zip(data.e, data.delta.coords)]
+    omega_delta = [sum(w * row[j] for w, row in zip(weights, data.b)) for j in range(n)]
+    # the Coxeter matrix, each row as its nonzero entries
+    cox = [[(j, x) for j, x in enumerate(row) if x] for row in data.coxeter_matrix()]
+
+    def coxeter(v: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(sum(x * v[j] for j, x in row) for row in cox)
+
     roots = positive_real_roots(data, height_bound)
-    qualifying = [v for v in roots if data.omega_form(data.delta, v) == 0]
+    qualifying = [v.coords for v in roots if not sum(map(mul, omega_delta, v.coords))]
     seen: Set[Tuple[int, ...]] = set()
     orbits: List[List[RootVec]] = []
-    cap = 64 * height_bound * data.n + 64
+    cap = 64 * height_bound * n + 64
     for v in qualifying:
-        if v.coords in seen:
+        if v in seen:
             continue
         orbit = [v]
-        cur = data.coxeter_root(v)
+        cur = coxeter(v)
         steps = 0
         while cur != v:
-            if any(x < 0 for x in cur.coords):
+            if min(cur) < 0:
                 raise HeightBoundTooSmall("orbit left the positive cone (truncated data)")
             orbit.append(cur)
-            cur = data.coxeter_root(cur)
+            cur = coxeter(cur)
             steps += 1
             if steps > cap:
                 raise HeightBoundTooSmall("orbit failed to close; raise the height bound")
-        for w in orbit:
-            seen.add(w.coords)
-        orbits.append(orbit)
+        seen.update(orbit)
+        orbits.append([RootVec(w) for w in orbit])
     tubes: List[Tube] = []
     for orbit in orbits:
         total = orbit[0]
@@ -626,36 +659,42 @@ def nonmax_root_data(tube: Tube, j: Iterable[TubeRoot], gamma: TubeRoot) -> NonM
 
 def _tube_profiles(
     data: AffineData, tubes: Sequence[Tube], phi: RootVec
-) -> Optional[Tuple[List[List[Fraction]], Fraction]]:
+) -> Optional[Tuple[List[List[int]], int, int]]:
     """Solve phi = sum of orbit vectors with per-tube profiles; returns the
-    min-reduced profiles and the total delta multiplicity, or None."""
+    numerators of the min-reduced profiles and of the total delta
+    multiplicity over their common denominator d > 0, or None."""
     if not tubes:
         # d_infinity degenerates to the ray of delta.
         dcoords = data.delta.coords
-        ratios = {Fraction(p, q) for p, q in zip(phi.coords, dcoords)}
-        if len(ratios) != 1:
+        if any(p * dcoords[0] != phi.coords[0] * q for p, q in zip(phi.coords, dcoords)):
             return None
-        t = ratios.pop()
-        return [], t
+        return [], phi.coords[0], dcoords[0]
     # Solve the augmented system [orbit vectors | phi]; free unknowns are 0.
     orbits = [v for tube in tubes for v in tube.orbit]
     aug = [[v.coords[i] for v in orbits] + [x] for i, x in enumerate(phi.coords)]
-    reduced, pivots, _ = _rref(aug)
+    reduced, pivots, denom, _ = _rref(aug)
     if len(orbits) in pivots:
         return None
-    sol = [Fraction(0)] * len(orbits)
+    sol = [0] * len(orbits)
     for r, c in enumerate(pivots):
         sol[c] = reduced[r][-1]
-    profiles: List[List[Fraction]] = []
+    profiles: List[List[int]] = []
     pos = 0
-    total = Fraction(0)
+    total = 0
     for tube in tubes:
         chunk = sol[pos : pos + tube.size]
         pos += tube.size
         t = min(chunk)
         total += t
         profiles.append([x - t for x in chunk])
-    return profiles, total
+    return profiles, total, denom
+
+
+def _quotient_text(num: int, den: int) -> str:
+    """num/den in lowest terms, written as str(Fraction(num, den)) would."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def weight_in_imaginary_wall(
@@ -678,15 +717,17 @@ def cluster_expansion_imaginary(
     res = _tube_profiles(data, tubes, phi)
     if res is None:
         raise NotInImaginaryWall(f"{phi} is not in the span of the tube simples")
-    profiles, total = res
-    if total < 0 or total.denominator != 1:
-        raise NotInImaginaryWall(f"delta multiplicity {total} is not a nonnegative integer")
-    m_delta = int(total)
+    profiles, total, denom = res
+    if total < 0 or total % denom:
+        raise NotInImaginaryWall(
+            f"delta multiplicity {_quotient_text(total, denom)} is not a nonnegative integer"
+        )
+    m_delta = total // denom
     arcs: Dict[TubeRoot, int] = {}
     for tube, profile in zip(tubes, profiles):
-        if any(x.denominator != 1 or x < 0 for x in profile):
+        if any(x < 0 or x % denom for x in profile):
             raise NotInImaginaryWall("tube profile is not nonnegative integral")
-        q = [int(x) for x in profile]
+        q = [x // denom for x in profile]
         k = tube.size
         zero = q.index(0)
         # Cut the cycle at a zero so every emitted arc is an honest interval.

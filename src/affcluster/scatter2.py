@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Exponent, LaurentPoly, VarContext, default_context
@@ -348,39 +348,37 @@ def enumerate_broken_lines_rank2(
     s_i * w_i on the crossing sites; the collinearity chain makes every s_i a
     fixed positive multiple of s_1, so sign conditions prune the tree and the
     endpoint equation finally pins s_1 itself.  A bend at a wall with
-    exponent e picks the coefficient of t^j in f^|e|, t = yhat^normal."""
+    exponent e picks the coefficient of t^j in f^|e|, t = yhat^normal.
+
+    Every sign test is an integer cross product.  The multiple
+    s_i / s_1 = cross(w_prev, lam) / cross(w, lam) times the previous one
+    must be positive; the travel time to the next bend is
+    -s_i cross(w_prev, w) / cross(w, lam), and from the last bend to the
+    endpoint chi it is -cross(w_last, chi) / cross(w_last, lam), with
+    s_1 > 0 exactly when cross(chi, lam) / cross(w_last, lam) is.  So the
+    magnitude of each multiple never matters, and chi enters scaled by the
+    common denominator of its coordinates."""
     if lam.coords == (0, 0):
         raise ValueError("lambda must be nonzero")
     if order is None:
         order = diagram.order
     sites = diagram._sites()
+    q = lcm(endpoint[0].denominator, endpoint[1].denominator)
+    chi = tuple(x.numerator * (q // x.denominator) for x in endpoint)
     out: List[BrokenLine2] = []
 
-    def final_check(path, lam_cur, scale) -> bool:
-        """Close the line at the endpoint: solve s_1, recheck positivity."""
+    def final_check(path, lam_cur) -> bool:
+        """Close the line at the endpoint: s_1 and the final travel time to
+        chi must be positive."""
         if not path:
             return True  # straight line from infinity always reaches chi
         w_last = path[-1][0]
-        den = Fraction(_cross(w_last, lam_cur)) * scale
-        if den == 0:
-            return False
-        s1 = Fraction(_cross(endpoint, lam_cur)) / den
-        if s1 <= 0:
-            return False
-        # positions now absolute; final travel time to chi must be positive
-        c_last = scale * s1
-        p_last = (c_last * w_last[0], c_last * w_last[1])
-        dx = (endpoint[0] - p_last[0], endpoint[1] - p_last[1])
-        t = None
-        for comp in range(2):
-            if lam_cur[comp]:
-                t = -Fraction(dx[comp]) / lam_cur[comp]
-                break
-        return t is not None and t > 0
+        side = _cross(w_last, lam_cur)
+        return side != 0 and _cross(chi, lam_cur) * side > 0 and _cross(w_last, chi) * side < 0
 
-    def extend(path, lam_cur, m_cur, coeff, scale):
+    def extend(path, lam_cur, m_cur, coeff):
         # try to end here
-        if final_check(path, lam_cur, scale):
+        if final_check(path, lam_cur):
             out.append(BrokenLine2(tuple(path), coeff, lam_cur, m_cur))
         budget = order - (m_cur[0] + m_cur[1])
         if budget <= 0:
@@ -392,30 +390,16 @@ def enumerate_broken_lines_rank2(
                 continue
             if path:
                 w_prev = path[-1][0]
-                num = _cross(w_prev, lam_cur)
-                den = _cross(direction, lam_cur)
-                if den == 0:
+                side = _cross(direction, lam_cur)
+                # a positive next multiple, then travel along -lam_cur
+                # (p_next - p_prev = -t lam_cur) for a time t > 0
+                if side == 0 or _cross(w_prev, lam_cur) * side <= 0:
                     continue
-                new_scale = scale * Fraction(num, den)
-                if new_scale <= 0:
+                if _cross(w_prev, direction) * side >= 0:
                     continue
-                # travel direction check: p_next - p_prev = -t lam_cur, t > 0
-                delta = (
-                    new_scale * direction[0] - scale * w_prev[0],
-                    new_scale * direction[1] - scale * w_prev[1],
-                )
-                t_sign = None
-                for comp in range(2):
-                    if lam_cur[comp]:
-                        t_sign = -delta[comp] / lam_cur[comp]
-                        break
-                if t_sign is None or t_sign <= 0:
-                    continue
-            else:
-                new_scale = Fraction(1)
-                # the unbounded ray travels along -lam_cur and must actually
-                # reach the site from its own side; with s_1 free this is
-                # always arrangeable except for parallel travel (e == 0).
+            # else the unbounded ray travels along -lam_cur and must actually
+            # reach the site from its own side; with s_1 free this is always
+            # arrangeable except for parallel travel (e == 0).
             power = diagram._power(wall, abs(e))
             beta, step = wall.normal, wall.yhat
             for j in range(1, min(budget // (beta[0] + beta[1]) + 1, len(power))):
@@ -427,10 +411,9 @@ def enumerate_broken_lines_rank2(
                     (lam_cur[0] + j * step[0], lam_cur[1] + j * step[1]),
                     (m_cur[0] + j * beta[0], m_cur[1] + j * beta[1]),
                     coeff * c,
-                    new_scale,
                 )
 
-    extend([], lam.coords, (0, 0), 1, Fraction(1))
+    extend([], lam.coords, (0, 0), 1)
     return out
 
 

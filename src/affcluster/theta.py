@@ -384,7 +384,8 @@ class ThetaEngine:
     def expand_product(
         self, a: ThetaFunction, b: ThetaFunction
     ) -> Dict[WeightVec, LaurentPoly]:
-        """Expand theta_a * theta_b as a k[y]-combination of thetas.
+        """Expand theta_a * theta_b as a k[y]-combination of thetas with
+        positive coefficients (theta-basis positivity).
 
         First peels along the dominance chain of label(a)+label(b) (largest
         label first), then peels any remaining pointed leading terms; aborts
@@ -426,10 +427,13 @@ class ThetaEngine:
                 raise IdentityViolated(
                     f"product of imaginary thetas left d_infinity: {exc}"
                 ) from exc
+        # structure constants lie in k[y] with positive coefficients (GHKK)
         for coeff in combo.values():
-            for gamma in coeff:
+            for gamma, c in coeff.items():
                 if any(x < 0 for x in gamma):
                     raise IdentityViolated("structure constant not in k[y]")
+                if c <= 0:
+                    raise IdentityViolated("structure constant has a nonpositive coefficient")
         zero = (0,) * self.n
         return {
             kappa: LaurentPoly(self.ctx, {zero + gamma: c for gamma, c in coeff.items()})

@@ -1,7 +1,10 @@
 """Affine layer: Cartan data, delta, Coxeter action, tubes, arcs, nu_c."""
 
+import dataclasses
 import itertools
+import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -12,11 +15,14 @@ from affcluster.affine import (
     NotAffineType,
     NotInImaginaryWall,
     NotMaximal,
+    SimplesMismatch,
+    Tube,
     TubeRoot,
     _rref,
     all_arcs,
     arc_support,
     build_affine_data,
+    cartan_matrix,
     cluster_expansion_imaginary,
     compatible,
     detect_tubes,
@@ -104,30 +110,359 @@ def test_rref_against_leibniz_and_ranks(rng):
     for _ in range(300):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
         a = [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)]
-        reduced, pivots, det = _rref(a)
+        reduced, pivots, denom, det = _rref(a)
+        assert denom > 0
         assert len(pivots) == _rank(a)
         assert det == (_leibniz_det(a) if r == c else 0)
         # solve a x = b: no solution exactly when b raises the rank
         b = [rng.randint(-3, 3) for _ in range(r)]
         aug = [row + [bi] for row, bi in zip(a, b)]
-        reduced, pivots, _ = _rref(aug)
+        reduced, pivots, denom, _ = _rref(aug)
         assert (c in pivots) == (_rank(a) < _rank(aug))
         if c not in pivots:
-            x = [Fraction(0)] * c
+            x = [0] * c  # numerators over denom
             for i, col in enumerate(pivots):
                 x[col] = reduced[i][-1]
-            assert [sum(aij * xj for aij, xj in zip(row, x)) for row in a] == b
+            assert [sum(aij * xj for aij, xj in zip(row, x)) for row in a] == [
+                denom * bi for bi in b
+            ]
         # kernel of a square matrix: one vector exactly when the corank is 1
         sq = [row[:r] + [rng.randint(-2, 2) for _ in range(r - c)] for row in a]
-        reduced, pivots, _ = _rref(sq)
+        reduced, pivots, denom, _ = _rref(sq)
         free = [j for j in range(r) if j not in pivots]
         assert (len(free) == 1) == (_rank(sq) == r - 1)
         if len(free) == 1:
-            x = [Fraction(0)] * r
-            x[free[0]] = Fraction(1)
+            x = [0] * r
+            x[free[0]] = denom
             for i, col in enumerate(pivots):
                 x[col] = -reduced[i][free[0]]
             assert all(sum(aij * xj for aij, xj in zip(row, x)) == 0 for row in sq)
+
+
+# -- the Fraction reference ---------------------------------------------------
+# The set-up and wall-solve paths as they ran in Fraction arithmetic before
+# they moved to integers over a common denominator; the integer routines must
+# agree with them exactly, value for value and error for error.
+
+
+def _reference_rref(rows):
+    """Gauss-Jordan over Fraction: (rref, pivots, det)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    det = Fraction(1)
+    for col in range(ncols):
+        row = len(pivots)
+        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            m[row], m[pivot] = m[pivot], m[row]
+            det = -det
+        det *= m[row][col]
+        inv = 1 / m[row][col]
+        prow = m[row] = [v * inv for v in m[row]]
+        for r in range(nrows):
+            factor = m[r][col]
+            if r != row and factor:
+                m[r] = [a - factor * b for a, b in zip(m[r], prow)]
+        pivots.append(col)
+    if nrows != ncols or len(pivots) != nrows:
+        det = Fraction(0)
+    return m, pivots, det
+
+
+def _reference_delta(b):
+    """The affine-type checks and the primitive positive kernel vector."""
+    n = len(b)
+    a = cartan_matrix(b)
+    reduced, pivots, det = _reference_rref(a)
+    if det != 0:
+        raise NotAffineType("Cartan determinant is nonzero")
+    for size in range(1, n):
+        for subset in itertools.combinations(range(n), size):
+            if _reference_rref([[a[i][j] for j in subset] for i in subset])[2] <= 0:
+                raise NotAffineType("a proper principal minor is not positive")
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise NotAffineType("Cartan corank is not 1")
+    kern = [Fraction(0)] * n
+    kern[free[0]] = Fraction(1)
+    for r, c in enumerate(pivots):
+        kern[c] = -reduced[r][free[0]]
+    scale = math.lcm(*(f.denominator for f in kern))
+    ints = [int(f * scale) for f in kern]
+    g = math.gcd(*ints)
+    ints = [x // g for x in ints]
+    if all(x < 0 for x in ints):
+        ints = [-x for x in ints]
+    if any(x <= 0 for x in ints):
+        raise NotAffineType("kernel vector is not strictly positive")
+    return RootVec(tuple(ints))
+
+
+def _reference_positive_real_roots(data, height_bound):
+    n = data.n
+    frontier = [RootVec(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
+    seen = {v.coords for v in frontier}
+    out = list(frontier)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for r in range(n):
+                w = data.reflect_root(r, v)
+                if w.coords not in seen and min(w.coords) >= 0 and w.height() <= height_bound:
+                    seen.add(w.coords)
+                    out.append(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(out, key=lambda v: (v.height(), v.coords))
+
+
+def _reference_tube_orbits(data, height_bound=None):
+    """The tube orbits by omega_form in Fraction and Coxeter steps on RootVec."""
+    if height_bound is None:
+        height_bound = 4 * data.delta.height()
+    roots = _reference_positive_real_roots(data, height_bound)
+    orbits = []
+    seen = set()
+    for v in roots:
+        if data.omega_form(data.delta, v) != 0 or v.coords in seen:
+            continue
+        orbit = [v]
+        cur = data.coxeter_root(v)
+        while cur != v:
+            if min(cur.coords) < 0:
+                raise HeightBoundTooSmall("orbit left the positive cone (truncated data)")
+            orbit.append(cur)
+            cur = data.coxeter_root(cur)
+        seen.update(w.coords for w in orbit)
+        orbits.append(orbit)
+    tubes = []
+    for orbit in orbits:
+        if [sum(c) for c in zip(*(w.coords for w in orbit))] != list(data.delta.coords):
+            continue
+        base = min(range(len(orbit)), key=lambda i: orbit[i].coords)
+        tubes.append(tuple(orbit[(base + i) % len(orbit)] for i in range(len(orbit))))
+    if orbits and not tubes:
+        raise SimplesMismatch(
+            "finite Coxeter orbits found, but none sums to delta; "
+            "the tube-simples criterion does not apply to this matrix"
+        )
+    return sorted(tubes, key=lambda t: (len(t), t[0].coords))
+
+
+def _reference_profiles(data, tubes, phi):
+    """The Fraction solve: min-reduced per-tube profiles and the delta
+    multiplicity, or None off the span."""
+    if not tubes:
+        ratios = {Fraction(p, q) for p, q in zip(phi.coords, data.delta.coords)}
+        return ([], ratios.pop()) if len(ratios) == 1 else None
+    orbits = [v for tube in tubes for v in tube.orbit]
+    aug = [[v.coords[i] for v in orbits] + [x] for i, x in enumerate(phi.coords)]
+    reduced, pivots, _ = _reference_rref(aug)
+    if len(orbits) in pivots:
+        return None
+    sol = [Fraction(0)] * len(orbits)
+    for r, c in enumerate(pivots):
+        sol[c] = reduced[r][-1]
+    profiles, pos, total = [], 0, Fraction(0)
+    for tube in tubes:
+        chunk = sol[pos : pos + tube.size]
+        pos += tube.size
+        total += min(chunk)
+        profiles.append([x - min(chunk) for x in chunk])
+    return profiles, total
+
+
+def _reference_solve(data, tubes, phi):
+    """(m_delta, per-tube integer profiles), or the NotInImaginaryWall text
+    that cluster_expansion_imaginary raises."""
+    res = _reference_profiles(data, tubes, phi)
+    if res is None:
+        return f"{phi} is not in the span of the tube simples"
+    profiles, total = res
+    if total < 0 or total.denominator != 1:
+        return f"delta multiplicity {total} is not a nonnegative integer"
+    if any(x.denominator != 1 or x < 0 for p in profiles for x in p):
+        return "tube profile is not nonnegative integral"
+    return int(total), [[int(x) for x in p] for p in profiles]
+
+
+def _check_against_reference_solve(data, tubes, phi):
+    """cluster_expansion_imaginary and weight_in_imaginary_wall at phi agree
+    with the reference; returns the reference outcome."""
+    res = _reference_profiles(data, tubes, phi)
+    w = WeightVec(tuple(-sum(map(mul, row, phi.coords)) for row in data.e_c))  # nu_c, linearly
+    assert data.nu_c_inv(w) == phi
+    assert weight_in_imaginary_wall(data, tubes, w) == (res is not None and res[1] >= 0)
+    want = _reference_solve(data, tubes, phi)
+    if isinstance(want, str):
+        with pytest.raises(NotInImaginaryWall) as err:
+            cluster_expansion_imaginary(data, tubes, phi)
+        assert str(err.value) == want
+        return want
+    m_delta, arcs = cluster_expansion_imaginary(data, tubes, phi)
+    profiles = [[0] * tube.size for tube in tubes]
+    for r, mult in arcs.items():
+        for t in arc_support(tubes[r.tube], r):
+            profiles[r.tube][t] += mult
+    assert (m_delta, profiles) == want
+    return "ok"
+
+
+def test_rref_matches_fraction_reference(rng):
+    # the same pivots and determinant, and R = d * rref(A) with d > 0
+    for _ in range(400):
+        r, c = rng.randint(1, 6), rng.randint(1, 7)
+        k = rng.choice([1, 2, 5, 40])
+        a = [[rng.randint(-k, k) for _ in range(c)] for _ in range(r)]
+        reduced, pivots, denom, det = _rref(a)
+        ref, ref_pivots, ref_det = _reference_rref(a)
+        assert (pivots, det) == (ref_pivots, ref_det)
+        assert denom > 0
+        assert reduced == [[denom * x for x in row] for row in ref]
+
+
+def _fixtures():
+    from affcluster import cli
+
+    return {name: cli.load_matrix(name).top() for name in cli.BUNDLED}
+
+
+def _affine_b(n, edges):
+    """The acyclic exchange matrix with b_ij = x and b_ji = -y for each edge
+    (i, j, x, y), i < j: Cartan entries a_ij = -x and a_ji = -y."""
+    b = [[0] * n for _ in range(n)]
+    for i, j, x, y in edges:
+        b[i][j], b[j][i] = x, -y
+    return tuple(map(tuple, b))
+
+
+def _simply_laced(n, pairs):
+    return _affine_b(n, [(i, j, 1, 1) for i, j in pairs])
+
+
+# Affine types beyond the bundled fixtures (Kac's labelling of delta), with
+# their tube sizes.
+AFFINE_TYPES = {
+    "D5": (
+        _simply_laced(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]),
+        (1, 1, 2, 2, 1, 1),
+        [2, 2, 3],
+    ),
+    "E7": (
+        _simply_laced(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)]),
+        (1, 2, 3, 4, 3, 2, 1, 2),
+        [2, 3, 4],
+    ),
+    "E8": (
+        _simply_laced(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]),
+        (1, 2, 3, 4, 5, 6, 4, 2, 3),
+        [2, 3, 5],
+    ),
+    "B3": (_affine_b(4, [(0, 2, 1, 1), (1, 2, 1, 1), (2, 3, 1, 2)]), (1, 1, 2, 2), [2, 2]),
+    "F4": (
+        _affine_b(5, [(0, 1, 1, 1), (1, 2, 1, 1), (2, 3, 1, 2), (3, 4, 1, 1)]),
+        (1, 2, 3, 4, 2),
+        [2, 3],
+    ),
+    "G2": (_affine_b(3, [(0, 1, 1, 1), (1, 2, 1, 3)]), (1, 2, 3), [2]),
+}
+
+
+def test_setup_matches_fraction_reference_on_fixtures():
+    for name, b in _fixtures().items():
+        data = build_affine_data(b)
+        assert data.delta == _reference_delta(b), name
+        bound = 4 * data.delta.height()
+        assert positive_real_roots(data, bound) == _reference_positive_real_roots(data, bound)
+        assert [t.orbit for t in detect_tubes(data)] == _reference_tube_orbits(data), name
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_TYPES))
+def test_setup_on_affine_types_beyond_the_fixtures(name):
+    b, delta, sizes = AFFINE_TYPES[name]
+    data = build_affine_data(b)
+    assert data.delta == _reference_delta(b) == RootVec(delta)
+    assert data.order == tuple(range(data.n))  # every edge points from i to j > i
+    tubes = detect_tubes(data)
+    assert [t.orbit for t in tubes] == _reference_tube_orbits(data)
+    assert [t.size for t in tubes] == sizes
+    for tube in tubes:
+        assert sum(tube.orbit, RootVec((0,) * data.n)) == data.delta
+
+
+def test_rejections_match_fraction_reference():
+    finite_a3 = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
+    wild = ((0, 2, 2), (-2, 0, 2), (-2, -2, 0))
+    for b in (finite_a3, wild):
+        with pytest.raises(NotAffineType) as ref:
+            _reference_delta(b)
+        with pytest.raises(NotAffineType) as got:
+            build_affine_data(b)
+        assert str(got.value) == str(ref.value)
+
+
+def test_wall_solve_matches_fraction_reference(rng):
+    """cluster_expansion_imaginary and weight_in_imaginary_wall against the
+    Fraction solve, at random in-cone and out-of-cone points of every
+    fixture, and at fractional-solution points: with every orbit vector and
+    delta doubled, a combination of the original orbit vectors with an odd
+    coefficient has a half-integral solution."""
+    seen = set()
+    for name, b in _fixtures().items():
+        data = build_affine_data(b)
+        tubes = detect_tubes(data)
+        n = data.n
+        zero = RootVec((0,) * n)
+        orbits = [v for tube in tubes for v in tube.orbit]
+        for _ in range(40):
+            phi = data.delta.scale(rng.randint(0, 3))
+            for v in orbits:
+                phi = phi + v.scale(rng.choice([0, 0, 1, 2]))
+            if not phi.is_zero():
+                assert _check_against_reference_solve(data, tubes, phi) == "ok", (name, phi)
+            # off the cone: a negative delta content, or an arbitrary vector
+            shifted = phi - data.delta.scale(rng.randint(1, 3))
+            seen.add(_check_against_reference_solve(data, tubes, shifted).split(" ")[0])
+            noise = RootVec(tuple(rng.randint(-2, 3) for _ in range(n)))
+            seen.add(_check_against_reference_solve(data, tubes, noise).split(" ")[0])
+        if not tubes:
+            continue
+        # the same system, every orbit vector and delta doubled
+        doubled = [Tube(t.index, tuple(v.scale(2) for v in t.orbit)) for t in tubes]
+        data2 = dataclasses.replace(data, delta=data.delta.scale(2))
+        for _ in range(40):
+            phi = sum((v.scale(rng.randint(0, 3)) for v in orbits), zero)
+            if not phi.is_zero():
+                seen.add(_check_against_reference_solve(data2, doubled, phi).split(" ")[0])
+    assert {"ok", "delta", "tube"} <= seen
+    assert any(x.startswith("RootVec") for x in seen)
+
+
+def test_setup_and_wall_solve_need_no_fractions(monkeypatch):
+    from affcluster import affine
+    from affcluster.theta import ThetaEngine
+
+    def no_fractions(*args):
+        raise AssertionError("Fraction used")
+
+    monkeypatch.setattr(affine, "Fraction", no_fractions)
+    for name, b in _fixtures().items():
+        eng = ThetaEngine(b)
+        data, tubes = eng.data, eng.tubes
+        phi = data.delta.scale(2)
+        for tube in tubes:
+            phi = phi + tube.orbit[0]
+        assert cluster_expansion_imaginary(data, tubes, phi)[0] == 2
+        for bad in (-data.delta, RootVec((1,) + (0,) * (data.n - 1))):
+            with pytest.raises(NotInImaginaryWall):
+                cluster_expansion_imaginary(data, tubes, bad)
+        doubled = [Tube(t.index, tuple(v.scale(2) for v in t.orbit)) for t in tubes]
+        if tubes:
+            with pytest.raises(NotInImaginaryWall, match="1/2"):
+                cluster_expansion_imaginary(data, doubled, data.delta)
 
 
 def test_forms_identity():

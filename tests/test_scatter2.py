@@ -428,3 +428,21 @@ def test_completion_and_broken_lines_multiply_no_laurent_polynomials(monkeypatch
     for lam in (nu, nu.scale(3), WeightVec((-1, 2))):
         assert theta_via_broken_lines(d, lam)
     assert not calls
+
+
+def test_integer_bend_geometry_matches_reference_at_other_endpoints():
+    # the bend tests read the endpoint once as integers over a common
+    # denominator; Fraction and int endpoints, in several chambers
+    endpoints = [
+        (Fraction(17, 5) + Fraction(1, 103), Fraction(3, 7)),
+        (Fraction(-100000) + Fraction(1, 97), Fraction(100000) + Fraction(1, 89)),
+        (3, Fraction(-7, 11)),
+        (Fraction(-5, 3), Fraction(-2, 9)),
+    ]
+    for b in RANK2 + [G2]:
+        ref = _ReferenceDiagram(b, 6)
+        d = complete_scattering_rank2(b, 6)
+        for chi in endpoints:
+            for lam in [(1, 0), (-1, 1), (2, -1), (-2, 3), (0, -1)]:
+                got = theta_via_broken_lines(d, WeightVec(lam), chi)
+                assert got == _reference_theta(ref, lam, chi), (b, chi, lam)

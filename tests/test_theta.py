@@ -473,6 +473,26 @@ def test_expand_product_aborts_loudly_on_non_theta_input():
         eng.expand_product(bad, eng.theta_delta())
 
 
+def test_expand_product_rejects_a_nonpositive_structure_constant():
+    # theta_2delta - y^delta is pointed at 2 nu(delta) but is no theta
+    # function.  On the Kronecker quiver B delta = -2 nu(delta), so it peels
+    # to theta_2delta minus y^delta theta_0: a structure constant with a
+    # negative coefficient, which theta-basis positivity rules out.
+    from affcluster.theta import IdentityViolated, ThetaFunction
+
+    eng = ThetaEngine(B_KRON)
+    delta = eng.data.delta.coords
+    two = eng.theta_k_delta(2)
+    one = eng.theta_by_label(WeightVec((0, 0)))
+    assert eng.data.b_weight(eng.data.delta) == -eng.data.nu_c(eng.data.delta).scale(2)
+    assert eng.expand_product(one, two) == {two.label: eng.one()}
+    f = dict(two.f)
+    f[delta] = f.get(delta, 0) - 1
+    synthetic = ThetaFunction(two.label, {beta: c for beta, c in f.items() if c}, eng.grading)
+    with pytest.raises(IdentityViolated, match="nonpositive coefficient"):
+        eng.expand_product(one, synthetic)
+
+
 def test_theta_from_sum_checks_the_label():
     from affcluster.theta import IdentityViolated
 
