@@ -6,9 +6,9 @@ fundamental-weight basis (WeightVec).  All arithmetic is exact.  Set-up and
 the imaginary-wall solve run on integers: the one elimination routine, _rref,
 is fraction-free and returns integer rows over a common denominator d > 0;
 the tube test omega_c(delta, v) = 0 is an integer dot product; and the wall
-solve reads numerators over d, testing divisibility and sign.  Fraction
-remains only in the symmetrizers AffineData.d and in the forms omega_form
-and pair_weight_root.
+solve reads numerators over d, testing divisibility and sign.  The
+symmetrizer is kept once, as the integer coroot scalers AffineData.e.
+Fraction remains only in the forms omega_form and pair_weight_root.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .seeds import (
     WeightVec,
     coroot_scalers,
     primitive_coroot,
-    skew_symmetrizers,
 )
 
 
@@ -143,14 +142,28 @@ def _rref(
     return m, pivots, prev, det
 
 
+def _proper_minors_positive(a: Rows) -> bool:
+    """Whether all proper principal minors of the symmetrizable a are positive.
+    D a is symmetric for a positive diagonal D, so by Sylvester's criterion it
+    suffices that each a without row and column i has positive leading
+    principal minors: n(n-1) determinants rather than 2^n - 2."""
+    n = len(a)
+    for i in range(n):
+        rest = [j for j in range(n) if j != i]
+        for size in range(1, n):
+            lead = rest[:size]
+            if _rref([[a[r][c] for c in lead] for r in lead])[3] <= 0:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class AffineData:
     """Everything derived from an acyclic affine exchange matrix."""
 
     b: Rows
     cartan: Rows
-    d: Tuple[Fraction, ...]
-    e: Tuple[int, ...]  # 1/d_i
+    e: Tuple[int, ...]  # 1/d_i for the skew-symmetrizer d
     order: Tuple[int, ...]  # source-to-sink listing of indices
     delta: RootVec
     e_c: Rows
@@ -203,9 +216,7 @@ class AffineData:
         return sum(a * b for a, b in zip(w.coords, coroot.coords))
 
     def pair_weight_root(self, w: WeightVec, v: RootVec) -> Fraction:
-        return sum(
-            Fraction(w.coords[i]) * v.coords[i] * self.d[i] for i in range(self.n)
-        )
+        return sum(Fraction(w.coords[i] * v.coords[i], self.e[i]) for i in range(self.n))
 
     def beta_check(self, v: RootVec) -> CorootVec:
         """The primitive coroot parallel to v."""
@@ -262,18 +273,14 @@ def build_affine_data(matrix) -> AffineData:
     else:
         b = tuple(tuple(r) for r in matrix)
     n = len(b)
-    d = skew_symmetrizers(b)
     e = coroot_scalers(b)
     order = source_to_sink_order(b)
     a = cartan_matrix(b)
     reduced, pivots, denom, det = _rref(a)
     if det != 0:
         raise NotAffineType("Cartan determinant is nonzero")
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            minor = tuple(tuple(a[i][j] for j in subset) for i in subset)
-            if _rref(minor)[3] <= 0:
-                raise NotAffineType("a proper principal minor is not positive")
+    if not _proper_minors_positive(a):
+        raise NotAffineType("a proper principal minor is not positive")
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         raise NotAffineType("Cartan corank is not 1")
@@ -282,9 +289,7 @@ def build_affine_data(matrix) -> AffineData:
     ints[free[0]] = denom
     for r, c in enumerate(pivots):
         ints[c] = -reduced[r][free[0]]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     if all(x < 0 for x in ints):
         ints = [-x for x in ints]
@@ -299,7 +304,7 @@ def build_affine_data(matrix) -> AffineData:
         tuple(1 if i == j else -max(b[i][j], 0) for j in range(n)) for i in range(n)
     )
     data = AffineData(
-        b=b, cartan=a, d=d, e=e, order=order, delta=delta, e_c=e_c, e_cinv=e_cinv,
+        b=b, cartan=a, e=e, order=order, delta=delta, e_c=e_c, e_cinv=e_cinv,
     )
     cox = data.coxeter_matrix()
     # Howlett: E_{c^{-1}} * M_c = -E_c, and c fixes delta.

@@ -61,8 +61,10 @@ def load_matrix(source: str) -> ExtendedExchangeMatrix:
     try:
         blob = json.loads(text)
         rows = tuple(tuple(int(x) for x in r) for r in blob["rows"])
-        n = int(blob["n"])
-        return ExtendedExchangeMatrix(rows, n)
+        matrix = ExtendedExchangeMatrix(rows, int(blob["n"]))
+        if int(blob["m"]) != matrix.m:
+            raise ValueError(f'"m" is {blob["m"]} but the file has {matrix.m} coefficient rows')
+        return matrix
     except ConfigError:
         raise
     except Exception as exc:
@@ -424,7 +426,7 @@ def cmd_report(args) -> int:
         "matrix": matrix_json(matrix),
         "delta": list(eng.data.delta.coords),
         "nu_delta": list(eng.data.nu_c(eng.data.delta).coords),
-        "symmetrizers": [str(x) for x in eng.data.d],
+        "symmetrizers": [f"1/{x}" if x > 1 else "1" for x in eng.data.e],
         "coxeter_order": [i + 1 for i in eng.data.order],
         "theta_delta": to_json_dict(eng.theta_delta().poly),
         "tubes": tubes,

@@ -3,14 +3,16 @@
 Matrices are tall: n+m rows by n columns, the top n x n block being the
 exchange matrix proper and the remaining m rows the coefficient part.
 All indices in this module are 0-based; the CLI converts from 1-based.
+
+All arithmetic is integer: the skew-symmetrizer is decided by coroot_scalers
+and the g-vector search runs on integer states (ThetaEngine.theta_gfan turns
+a g-vector into its cluster variable).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from operator import neg
 from typing import Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -108,11 +110,13 @@ class ExtendedExchangeMatrix:
     n: int
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("need n >= 1")
         if any(len(r) != self.n for r in self.rows):
             raise ValueError("all rows must have length n")
         if len(self.rows) < self.n:
             raise ValueError("need at least n rows")
-        skew_symmetrizers(self.top())  # raises NonSkewSymmetrizable
+        coroot_scalers(self.top())  # raises NonSkewSymmetrizable
 
     @property
     def m(self) -> int:
@@ -157,40 +161,38 @@ def mutate_rows(rows: Rows, k: int) -> Rows:
     return tuple(out)
 
 
-def skew_symmetrizers(b: Rows) -> Tuple[Fraction, ...]:
-    """Positive d with d_i b_ij = -d_j b_ji, normalized so 1/d_i are
-    integers with collective gcd 1.  Raises NonSkewSymmetrizable."""
+def coroot_scalers(b: Rows) -> Tuple[int, ...]:
+    """The integers e_i = 1/d_i (alpha_i_check = e_i alpha_i) of the positive
+    skew-symmetrizer d: e_j b_ij = -e_i b_ji, with gcd 1.  One integer graph
+    walk; each component starts at e_0, the common scale, and the whole
+    vector is multiplied by the least factor that keeps a new entry integral,
+    so the components are normalised jointly.  Raises NonSkewSymmetrizable."""
     n = len(b)
-    d: List[Optional[Fraction]] = [None] * n
+    e = [0] * n
     for start in range(n):
-        if d[start] is not None:
+        if e[start]:
             continue
-        d[start] = Fraction(1)
+        e[start] = e[0] or 1
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if b[i][j] == 0 and b[j][i] == 0:
+                bij, bji = b[i][j], b[j][i]
+                if bij == 0 and bji == 0:
                     continue
-                if b[i][j] == 0 or b[j][i] == 0 or (b[i][j] > 0) == (b[j][i] > 0):
+                if bij == 0 or bji == 0 or (bij > 0) == (bji > 0):
                     raise NonSkewSymmetrizable("incompatible sign pattern")
-                ratio = Fraction(-b[i][j], b[j][i])
-                if d[j] is None:
-                    d[j] = d[i] * ratio
+                if not e[j]:
+                    num, den = e[i] * abs(bji), abs(bij)
+                    scale = den // gcd(num, den)
+                    if scale > 1:
+                        e = [x * scale for x in e]
+                    e[j] = num * scale // den
                     stack.append(j)
-                elif d[j] != d[i] * ratio:
+                elif e[j] * bij != -e[i] * bji:
                     raise NonSkewSymmetrizable("inconsistent symmetrizer constraints")
-    inv = [Fraction(1) / x for x in d]  # type: ignore[operator]
-    scale = reduce(lcm, (f.denominator for f in inv), 1)
-    ints = [f * scale for f in inv]
-    g = reduce(gcd, (int(x) for x in ints))
-    e = tuple(int(x) // g for x in ints)
-    return tuple(Fraction(1, ei) for ei in e)
-
-
-def coroot_scalers(b: Rows) -> Tuple[int, ...]:
-    """The integers e_i = 1/d_i (so alpha_i_check = e_i alpha_i)."""
-    return tuple(int(Fraction(1) / di) for di in skew_symmetrizers(b))
+    g = gcd(*e)
+    return tuple(x // g for x in e)
 
 
 def principal_extension(b: Rows) -> ExtendedExchangeMatrix:
@@ -386,28 +388,6 @@ def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
         frontier = new_frontier
         if not frontier:
             break
-
-
-def find_cluster_variable_by_gvector(
-    matrix: ExtendedExchangeMatrix,
-    target: WeightVec,
-    depth: int = 8,
-    ctx: Optional[VarContext] = None,
-) -> LaurentPoly:
-    """The unique cluster variable with the given g-vector, by BFS.
-
-    The search runs on integer (matrix, G-matrix) states; the witness word is
-    then replayed through polynomial seed mutation and the result re-checked
-    via its pointed form.  Raises NotFound(depth) when the target never shows."""
-    for g_col, word, col in enumerate_gvector_frontier(matrix, depth):
-        if g_col == target.coords:
-            seed = mutate_seed_word(initial_seed(matrix, ctx), word)
-            var = seed.cluster[col]
-            g, _ = pointed_form(var)
-            if g != target.coords:
-                raise AssertionError("G-matrix recursion disagrees with pointed form")
-            return var
-    raise NotFound(depth)
 
 
 def enumerate_seeds(seed: Seed, depth: int) -> List[Seed]:

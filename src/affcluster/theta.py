@@ -243,7 +243,9 @@ class ThetaEngine:
         return seed
 
     def theta_gfan(self, label: WeightVec) -> ThetaFunction:
-        """The cluster variable with the given g-vector (ray of the g-fan)."""
+        """The cluster variable with the given g-vector (ray of the g-fan): the
+        lazy search finds a word, the cached seeds replay it and the variable
+        must be pointed at the label.  NotFound past the search depth."""
         key = label.coords
         if key in self._theta_cache:
             return self._theta_cache[key]

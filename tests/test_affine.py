@@ -18,6 +18,7 @@ from affcluster.affine import (
     SimplesMismatch,
     Tube,
     TubeRoot,
+    _proper_minors_positive,
     _rref,
     all_arcs,
     arc_support,
@@ -172,6 +173,16 @@ def _reference_rref(rows):
     return m, pivots, det
 
 
+def _reference_minors_positive(a):
+    """Every proper principal minor of a is positive: all 2^n - 2 of them."""
+    n = len(a)
+    return all(
+        _reference_rref([[a[i][j] for j in subset] for i in subset])[2] > 0
+        for size in range(1, n)
+        for subset in itertools.combinations(range(n), size)
+    )
+
+
 def _reference_delta(b):
     """The affine-type checks and the primitive positive kernel vector."""
     n = len(b)
@@ -179,10 +190,8 @@ def _reference_delta(b):
     reduced, pivots, det = _reference_rref(a)
     if det != 0:
         raise NotAffineType("Cartan determinant is nonzero")
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            if _reference_rref([[a[i][j] for j in subset] for i in subset])[2] <= 0:
-                raise NotAffineType("a proper principal minor is not positive")
+    if not _reference_minors_positive(a):
+        raise NotAffineType("a proper principal minor is not positive")
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         raise NotAffineType("Cartan corank is not 1")
@@ -393,6 +402,68 @@ def test_setup_on_affine_types_beyond_the_fixtures(name):
         assert sum(tube.orbit, RootVec((0,) * data.n)) == data.delta
 
 
+def _random_symmetrizable_cartan(rng):
+    """A random symmetrizable generalized Cartan matrix, n = 2..6: a_ij and
+    a_ji both zero or -k e_i/g and -k e_j/g, so diag(1/e) a is symmetric."""
+    n = rng.randint(2, 6)
+    e = [rng.choice([1, 1, 1, 2, 3]) for _ in range(n)]
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.45:
+                k, g = rng.choice([1, 1, 1, 2]), math.gcd(e[i], e[j])
+                a[i][j], a[j][i] = -k * e[i] // g, -k * e[j] // g
+    return tuple(map(tuple, a))
+
+
+def test_minor_certificate_matches_all_subsets(rng):
+    """The n(n-1) Sylvester determinants against all 2^n - 2 proper principal
+    minors, on random symmetrizable Cartan matrices and on every type here."""
+    verdicts = set()
+    for _ in range(400):
+        a = _random_symmetrizable_cartan(rng)
+        verdict = _reference_minors_positive(a)
+        assert _proper_minors_positive(a) == verdict, a
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    types = [*_fixtures().values(), *(b for b, _, _ in AFFINE_TYPES.values())]
+    types += [B_KRON, B_41, B_A2T, B_A3T, B_A4T, B_C2T, B_A3T22]
+    types += [((0, 1), (-4, 0)), ((0, 1), (-1, 0)), ((0, 3), (-3, 0))]
+    types += [
+        ((0, 1, 0), (-1, 0, 1), (0, -1, 0)),
+        ((0, 2, 2), (-2, 0, 2), (-2, -2, 0)),
+        ((0, 1, 0), (-3, 0, 1), (0, -1, 0)),
+    ]
+    for b in types:
+        a = cartan_matrix(b)
+        assert _proper_minors_positive(a) == _reference_minors_positive(a), b
+
+
+def test_build_affine_data_decides_the_symmetrizer_once(monkeypatch):
+    from affcluster import affine, cli, seeds
+
+    real = seeds.coroot_scalers
+    calls = []
+
+    def counted(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(affine, "coroot_scalers", counted)
+    monkeypatch.setattr(seeds, "coroot_scalers", counted)
+    for name in cli.BUNDLED:
+        del calls[:]
+        matrix = cli.load_matrix(name)
+        b = matrix.top()
+        assert calls == [b], name  # once in ExtendedExchangeMatrix
+        for source in (matrix, b):
+            del calls[:]
+            data = build_affine_data(source)
+            assert calls == [b], name
+        assert data.e == real(b)
+        assert not hasattr(data, "d")
+
+
 def test_rejections_match_fraction_reference():
     finite_a3 = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
     wild = ((0, 2, 2), (-2, 0, 2), (-2, -2, 0))
@@ -442,12 +513,17 @@ def test_wall_solve_matches_fraction_reference(rng):
 
 
 def test_setup_and_wall_solve_need_no_fractions(monkeypatch):
-    from affcluster import affine
+    import fractions
+
+    from affcluster import affine, seeds
     from affcluster.theta import ThetaEngine
 
     def no_fractions(*args):
         raise AssertionError("Fraction used")
 
+    # seeds (the symmetrizer, the matrices, the search) holds no Fraction at
+    # all; affine's fails if the set-up or the wall solve reaches it
+    assert not any(v is Fraction or v is fractions for v in vars(seeds).values())
     monkeypatch.setattr(affine, "Fraction", no_fractions)
     for name, b in _fixtures().items():
         eng = ThetaEngine(b)

@@ -50,6 +50,24 @@ def test_malformed_matrix_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"n": 0, "m": 0, "rows": []}', "need n >= 1"),
+        ('{"n": 2, "m": 7, "rows": [[0,2],[-2,0],[1,0],[0,1]]}', '"m" is 7 but the file has 2'),
+    ],
+)
+def test_inconsistent_matrix_file_exits_2(tmp_path, capsys, text, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (["mutate", "--word", "1"], ["report"]):
+        assert main([*argv, "--matrix", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: malformed matrix file: ")
+        assert reason in err
+
+
 def test_report_a1t_deterministic(capsys):
     code, out1 = run(capsys, "report", "--matrix", "a1t22", "--format", "json")
     assert code == 0

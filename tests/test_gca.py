@@ -142,10 +142,7 @@ def test_mutated_coefficients_match_displayed_computation():
     assert mutated.p[j] == (TropMonomial.one(), zm(z0_1=1, z0_2=1))
 
 
-def test_normalization_preserved_along_random_walk():
-    import random
-
-    rng = random.Random(41)
+def test_normalization_preserved_along_random_walk(rng):
     eng = ThetaEngine(B_A4T)
     seed, labels = build_tube_seed(eng.tubes, [TubeRoot(0, 1, l) for l in (1, 2, 3)])
     for _ in range(30):

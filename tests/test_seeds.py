@@ -1,6 +1,9 @@
 """Matrix and seed mutation, mutation maps, g-vectors, variable search."""
 
 import random
+from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 import pytest
 
@@ -12,10 +15,10 @@ from affcluster.seeds import (
     NotFound,
     RootVec,
     WeightVec,
+    coroot_scalers,
     denominator_vector_of,
     enumerate_gvector_frontier,
     enumerate_seeds,
-    find_cluster_variable_by_gvector,
     g_vector_of,
     initial_seed,
     mutate_rows,
@@ -25,8 +28,8 @@ from affcluster.seeds import (
     principal_extension,
     rewrite_in_mutated_variables,
     sink_to_source_word,
-    skew_symmetrizers,
 )
+from affcluster.theta import ThetaEngine
 
 B_KRON = ((0, 2), (-2, 0))
 B_A2T = ((0, 1, 1), (-1, 0, 1), (-1, -1, 0))
@@ -106,23 +109,135 @@ def test_mutate_rows_matches_entrywise_formula(rng, shape):
                 mutate_rows(rows, bad)
 
 
-def test_skew_symmetrizers():
-    assert skew_symmetrizers(B_KRON) == (1, 1)
-    d = skew_symmetrizers(((0, 4), (-1, 0)))
-    assert [str(x) for x in d] == ["1/4", "1"]
-    with pytest.raises(NonSkewSymmetrizable):
-        skew_symmetrizers(((0, 1), (1, 0)))
-    with pytest.raises(NonSkewSymmetrizable):
-        skew_symmetrizers(((0, 1), (0, 0)))
+def _reference_skew_symmetrizers(b):
+    """The Fraction graph walk coroot_scalers replaced: positive d with
+    d_i b_ij = -d_j b_ji, normalized so the 1/d_i are integers with
+    collective gcd 1."""
+    n = len(b)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if b[i][j] == 0 and b[j][i] == 0:
+                    continue
+                if b[i][j] == 0 or b[j][i] == 0 or (b[i][j] > 0) == (b[j][i] > 0):
+                    raise NonSkewSymmetrizable("incompatible sign pattern")
+                ratio = Fraction(-b[i][j], b[j][i])
+                if d[j] is None:
+                    d[j] = d[i] * ratio
+                    stack.append(j)
+                elif d[j] != d[i] * ratio:
+                    raise NonSkewSymmetrizable("inconsistent symmetrizer constraints")
+    inv = [Fraction(1) / x for x in d]
+    scale = reduce(lcm, (f.denominator for f in inv), 1)
+    ints = [f * scale for f in inv]
+    g = reduce(gcd, (int(x) for x in ints))
+    e = tuple(int(x) // g for x in ints)
+    return tuple(Fraction(1, ei) for ei in e)
+
+
+def test_coroot_scalers():
+    assert coroot_scalers(B_KRON) == (1, 1)
+    assert coroot_scalers(((0, 4), (-1, 0))) == (4, 1)
+    # two components, normalised jointly: d = (1, 1, 6), not (1/6, 1, 6)
+    assert coroot_scalers(((0, 0, 0), (0, 0, 6), (0, -1, 0))) == (6, 6, 1)
+    assert coroot_scalers(((0, 6, 0), (-1, 0, 0), (0, 0, 0))) == (6, 1, 6)
+    with pytest.raises(NonSkewSymmetrizable, match="incompatible sign pattern"):
+        coroot_scalers(((0, 1), (1, 0)))
+    with pytest.raises(NonSkewSymmetrizable, match="incompatible sign pattern"):
+        coroot_scalers(((0, 1), (0, 0)))
+    cyclic = ((0, 1, -1), (-1, 0, 2), (1, -1, 0))
+    with pytest.raises(NonSkewSymmetrizable, match="inconsistent symmetrizer constraints"):
+        coroot_scalers(cyclic)
 
 
 def test_mutation_preserves_symmetrizers():
     for b in FIXTURES:
-        d = skew_symmetrizers(b)
+        e = coroot_scalers(b)
         rows = b
         for k in [0, 1, 0, 1]:
             rows = mutate_rows(rows, k)
-            assert skew_symmetrizers(rows) == d
+            assert coroot_scalers(rows) == e
+
+
+def _random_exchange_matrix(rng, kind):
+    """A random n x n matrix: skew-symmetrizable (with a random symmetrizer
+    and a random, possibly disconnected, support), or such a matrix with one
+    entry broken so that it is not skew-symmetrizable."""
+    n = rng.randint(1, 6)
+    e = [rng.choice([1, 1, 2, 3, 4, 6, 9]) for _ in range(n)]
+    density = {"connected": 0.8, "disconnected": 0.25, "broken": 0.6}[kind]
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                k, g = rng.choice([1, -1, 2, -3]), gcd(e[i], e[j])
+                # e_j b_ij = -e_i b_ji
+                b[i][j], b[j][i] = k * e[i] // g, -k * e[j] // g
+    if kind == "broken" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        b[i][j] = rng.choice([0, -b[i][j], b[i][j] + 1, 2 * b[i][j] or 1])
+    return tuple(map(tuple, b))
+
+
+def _symmetrizer_outcome(fn, b):
+    try:
+        return fn(b)
+    except NonSkewSymmetrizable as exc:
+        return f"NonSkewSymmetrizable: {exc}"
+
+
+def _components(b):
+    """The connected components of the support of b, as index lists."""
+    n, seen, out = len(b), set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        comp, stack = [], [start]
+        seen.add(start)
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in range(n):
+                if (b[i][j] or b[j][i]) and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        out.append(comp)
+    return out
+
+
+def test_coroot_scalers_match_the_fraction_walk(rng):
+    outcomes = set()
+    for trial in range(1200):
+        kind = ("connected", "disconnected", "broken")[trial % 3]
+        b = _random_exchange_matrix(rng, kind)
+        ref = _symmetrizer_outcome(_reference_skew_symmetrizers, b)
+        got = _symmetrizer_outcome(coroot_scalers, b)
+        if isinstance(ref, str):
+            assert got == ref, b
+            outcomes.add(ref)
+            continue
+        assert got == tuple(int(1 / d) for d in ref), b
+        comps = _components(b)
+        if len(comps) > 1:
+            outcomes.add("several components")
+            # normalised jointly: some component alone would scale down
+            if any(gcd(*(got[i] for i in comp)) > 1 for comp in comps):
+                outcomes.add("joint normalisation")
+        if len(set(got)) > 1:
+            outcomes.add("unequal scalers")
+    assert outcomes == {
+        "several components",
+        "joint normalisation",
+        "unequal scalers",
+        "NonSkewSymmetrizable: incompatible sign pattern",
+        "NonSkewSymmetrizable: inconsistent symmetrizer constraints",
+    }
 
 
 def test_mutate_seed_principal_kronecker():
@@ -225,23 +340,20 @@ def test_denominator_vectors():
     assert denominator_vector_of(once) == RootVec((1, 0))
 
 
-def test_find_cluster_variable_by_gvector():
-    matrix = principal_extension(B_KRON)
+def test_theta_gfan_finds_cluster_variable_by_gvector():
+    eng = ThetaEngine(B_KRON)
     ctx = default_context(2, 2)
-    assert find_cluster_variable_by_gvector(matrix, WeightVec((1, 0))) == LaurentPoly.var(
-        ctx, 0
-    )
+    assert eng.theta_gfan(WeightVec((1, 0))).poly == LaurentPoly.var(ctx, 0)
     want = LaurentPoly.monomial(ctx, (-1, 2, 0, 0)) + LaurentPoly.monomial(
         ctx, (-1, 0, 1, 0)
     )
-    assert find_cluster_variable_by_gvector(matrix, WeightVec((-1, 2))) == want
+    assert eng.theta_gfan(WeightVec((-1, 2))).poly == want
 
 
-def test_find_cluster_variable_not_found_on_imaginary_ray():
+def test_theta_gfan_not_found_on_imaginary_ray():
     # nu_c(delta) = (-1, 1) spans the one ray that is not in the g-vector fan
-    matrix = principal_extension(B_KRON)
     with pytest.raises(NotFound):
-        find_cluster_variable_by_gvector(matrix, WeightVec((-1, 1)), depth=7)
+        ThetaEngine(B_KRON, depth=7).theta_gfan(WeightVec((-1, 1)))
 
 
 def test_gmatrix_recursion_matches_pointed_form():
