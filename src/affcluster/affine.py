@@ -320,8 +320,8 @@ def build_affine_data(matrix) -> AffineData:
 
 # -- positive real roots and tubes -------------------------------------------
 
-def positive_real_roots(data: AffineData, height_bound: int) -> List[RootVec]:
-    """All positive real roots of height <= height_bound, by reflection closure.
+def positive_real_roots(data: AffineData, max_height: int) -> List[RootVec]:
+    """All positive real roots of height <= max_height, by reflection closure.
 
     A reflection s_r changes only coordinate r, by minus the pairing of the
     root with the simple coroot r; pairing 0 leaves the root fixed."""
@@ -337,7 +337,7 @@ def positive_real_roots(data: AffineData, height_bound: int) -> List[RootVec]:
             height = sum(v)
             for r in range(n):
                 pairing = sum(x * v[i] for i, x in rows[r])
-                if not pairing or v[r] < pairing or height - pairing > height_bound:
+                if not pairing or v[r] < pairing or height - pairing > max_height:
                     continue
                 w = v[:r] + (v[r] - pairing,) + v[r + 1 :]
                 if w not in seen:
@@ -370,14 +370,11 @@ class TubeRoot:
     length: int
 
 
-def detect_tubes(data: AffineData, height_bound: Optional[int] = None) -> List[Tube]:
+def detect_tubes(data: AffineData) -> List[Tube]:
     """Find the tube-simples orbits: finite c-orbits of positive real roots
-    summing to delta.  Returns 0 to 3 tubes, each of size >= 2."""
-    ht_delta = data.delta.height()
-    if height_bound is None:
-        height_bound = 4 * ht_delta
-    if height_bound < ht_delta:
-        raise HeightBoundTooSmall("height bound below the height of delta")
+    of height at most 4 ht(delta) summing to delta.  Returns 0 to 3 tubes,
+    each of size >= 2."""
+    max_height = 4 * data.delta.height()
     n = data.n
     # lcm(e) * omega_c(delta, .) as an integer row vector
     scale = lcm(*data.e)
@@ -389,11 +386,11 @@ def detect_tubes(data: AffineData, height_bound: Optional[int] = None) -> List[T
     def coxeter(v: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(sum(x * v[j] for j, x in row) for row in cox)
 
-    roots = positive_real_roots(data, height_bound)
+    roots = positive_real_roots(data, max_height)
     qualifying = [v.coords for v in roots if not sum(map(mul, omega_delta, v.coords))]
     seen: Set[Tuple[int, ...]] = set()
     orbits: List[List[RootVec]] = []
-    cap = 64 * height_bound * n + 64
+    cap = 64 * max_height * n + 64
     for v in qualifying:
         if v in seen:
             continue
@@ -407,7 +404,7 @@ def detect_tubes(data: AffineData, height_bound: Optional[int] = None) -> List[T
             cur = coxeter(cur)
             steps += 1
             if steps > cap:
-                raise HeightBoundTooSmall("orbit failed to close; raise the height bound")
+                raise HeightBoundTooSmall("orbit failed to close")
         seen.update(orbit)
         orbits.append([RootVec(w) for w in orbit])
     tubes: List[Tube] = []

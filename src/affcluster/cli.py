@@ -60,15 +60,22 @@ def load_matrix(source: str) -> ExtendedExchangeMatrix:
             text = fh.read()
     try:
         blob = json.loads(text)
-        rows = tuple(tuple(int(x) for x in r) for r in blob["rows"])
-        matrix = ExtendedExchangeMatrix(rows, int(blob["n"]))
-        if int(blob["m"]) != matrix.m:
+        rows = tuple(tuple(_json_int(x) for x in r) for r in blob["rows"])
+        matrix = ExtendedExchangeMatrix(rows, _json_int(blob["n"]))
+        if _json_int(blob["m"]) != matrix.m:
             raise ValueError(f'"m" is {blob["m"]} but the file has {matrix.m} coefficient rows')
         return matrix
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(f"malformed matrix file: {exc}") from exc
+
+
+def _json_int(x) -> int:
+    """x itself if it is a JSON integer; a bool, float or string is refused."""
+    if type(x) is not int:
+        raise ValueError(f"{json.dumps(x)} is not an integer")
+    return x
 
 
 def matrix_json(matrix: ExtendedExchangeMatrix) -> dict:
@@ -148,7 +155,7 @@ def _tube_table(eng: ThetaEngine, tube: Tube, label_key: str) -> dict:
 
 
 def cmd_tube_info(args) -> int:
-    eng = ThetaEngine(load_matrix(args.matrix).top(), height_bound=args.height_bound)
+    eng = ThetaEngine(load_matrix(args.matrix).top())
     emit(
         {
             "delta": list(eng.data.delta.coords),
@@ -462,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tube-info", help="tubes, orbits and arc tables")
     common(p)
-    p.add_argument("--height-bound", type=int, default=None)
     p.set_defaults(func=cmd_tube_info)
 
     p = sub.add_parser("expand", help="compatible expansion of a root in the imaginary wall")

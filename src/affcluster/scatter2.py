@@ -339,7 +339,6 @@ def enumerate_broken_lines_rank2(
     diagram: ScatteringDiagram2,
     lam: WeightVec,
     endpoint: Tuple[Fraction, Fraction] = DEFAULT_ENDPOINT,
-    order: Optional[int] = None,
 ) -> List[BrokenLine2]:
     """All broken lines for lam with the given generic endpoint, up to the
     diagram's tropical order.
@@ -360,8 +359,6 @@ def enumerate_broken_lines_rank2(
     common denominator of its coordinates."""
     if lam.coords == (0, 0):
         raise ValueError("lambda must be nonzero")
-    if order is None:
-        order = diagram.order
     sites = diagram._sites()
     q = lcm(endpoint[0].denominator, endpoint[1].denominator)
     chi = tuple(x.numerator * (q // x.denominator) for x in endpoint)
@@ -380,7 +377,7 @@ def enumerate_broken_lines_rank2(
         # try to end here
         if final_check(path, lam_cur):
             out.append(BrokenLine2(tuple(path), coeff, lam_cur, m_cur))
-        budget = order - (m_cur[0] + m_cur[1])
+        budget = diagram.order - (m_cur[0] + m_cur[1])
         if budget <= 0:
             return
         for direction, wall in sites:
@@ -430,12 +427,11 @@ def theta_via_broken_lines(
     diagram: ScatteringDiagram2,
     lam: WeightVec,
     endpoint: Tuple[Fraction, Fraction] = DEFAULT_ENDPOINT,
-    order: Optional[int] = None,
 ) -> LaurentPoly:
     """Sum of final monomials over broken lines (truncated theta function)."""
     if lam.coords == (0, 0):
         return LaurentPoly.const(diagram.ctx, 1)
-    lines = enumerate_broken_lines_rank2(diagram, lam, endpoint, order)
+    lines = enumerate_broken_lines_rank2(diagram, lam, endpoint)
     return _sum_monomials(
         diagram.ctx, ((bl.weight + bl.tropical, bl.coeff) for bl in lines)
     )
@@ -447,12 +443,11 @@ def pair_structure_constant(
     p2: WeightVec,
     lam: WeightVec,
     endpoint: Tuple[Fraction, Fraction],
-    order: Optional[int] = None,
 ) -> LaurentPoly:
     """a_chi(p1, p2, lam): sum of c1 c2 y^{b1+b2} over pairs of broken lines
     with final weights adding to lam, both ending at chi."""
-    lines1 = enumerate_broken_lines_rank2(diagram, p1, endpoint, order)
-    lines2 = enumerate_broken_lines_rank2(diagram, p2, endpoint, order)
+    lines1 = enumerate_broken_lines_rank2(diagram, p1, endpoint)
+    lines2 = enumerate_broken_lines_rank2(diagram, p2, endpoint)
     return _sum_monomials(
         diagram.ctx,
         (

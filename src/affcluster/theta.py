@@ -8,6 +8,11 @@ from the Chebyshev-style recursion, and interior points from the product
 over a compatible expansion.  Products of thetas are re-expanded in the theta
 basis by greedy peeling.
 
+A theta function is fixed by its label, so an engine stores each
+imaginary-wall theta (theta_0, tube roots, k*delta, expansion products) under
+its label once built; theta_gfan stores nothing, so no label off the wall
+ever enters the store.
+
 A theta function is pointed: every term is x^(label + B beta) u^beta with
 beta >= 0, so it is stored as its label and its F-polynomial
 F: beta -> coefficient (ThetaFunction).  A product of thetas is the sum of
@@ -125,32 +130,32 @@ _RANK2_DELTA_TABLE = {
 }
 
 
+# Peels allowed after the dominance chain before expand_product gives up.
+PEEL_BUDGET = 64
+
+
 class ThetaEngine:
     """Theta-function calculator for one acyclic affine exchange matrix.
 
     Holds the affine data, the detected tubes, the principal-coefficient seed
-    machinery and caches of computed theta functions."""
+    machinery and the store of imaginary-wall thetas by label."""
 
-    def __init__(
-        self,
-        b_rows,
-        depth: int = 8,
-        height_bound: Optional[int] = None,
-        peel_budget: int = 64,
-    ) -> None:
+    def __init__(self, b_rows, depth: int = 8) -> None:
         self.data: AffineData = affine.build_affine_data(b_rows)
-        self.tubes: List[Tube] = affine.detect_tubes(self.data, height_bound)
+        self.tubes: List[Tube] = affine.detect_tubes(self.data)
         self.n = self.data.n
+        self.nu_delta: WeightVec = self.data.nu_c(self.data.delta)
         self.depth = depth
-        self.peel_budget = peel_budget
         self.matrix: ExtendedExchangeMatrix = principal_extension(self.data.b)
         self.ctx: VarContext = default_context(self.n, self.n)
         self.grading = Grading(self.ctx, self.data.b)
         self._frontier = enumerate_gvector_frontier(self.matrix, depth)
         self._gvec_index: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
         self._seed_cache: Dict[Tuple[int, ...], Seed] = {(): initial_seed(self.matrix, self.ctx)}
-        self._theta_cache: Dict[Tuple[int, ...], ThetaFunction] = {}
-        self._k_delta: List[ThetaFunction] = []
+        zero = (0,) * self.n
+        self._thetas: Dict[Tuple[int, ...], ThetaFunction] = {
+            zero: ThetaFunction(WeightVec(zero), {zero: 1}, self.grading)
+        }
 
     # -- monomial helpers ----------------------------------------------------
 
@@ -247,8 +252,6 @@ class ThetaEngine:
         lazy search finds a word, the cached seeds replay it and the variable
         must be pointed at the label.  NotFound past the search depth."""
         key = label.coords
-        if key in self._theta_cache:
-            return self._theta_cache[key]
         if key not in self._gvec_index:
             for g_col, word, col in self._frontier:
                 self._gvec_index.setdefault(g_col, (word, col))
@@ -258,14 +261,15 @@ class ThetaEngine:
                 raise NotFound(self.depth)
         word, col = self._gvec_index[key]
         var = self._seed_for_word(word).cluster[col]
-        theta = ThetaFunction(label, self.assert_pointed(var, label), self.grading)
-        self._theta_cache[key] = theta
-        return theta
+        return ThetaFunction(label, self.assert_pointed(var, label), self.grading)
 
     def theta_tube_root(self, r: TubeRoot) -> ThetaFunction:
         """Theta of nu_c(arc); a cluster variable by the ray bijection."""
-        vec = tube_root_vector(self.tubes[r.tube], r)
-        return self.theta_gfan(self.data.nu_c(vec))
+        label = self.data.nu_c(tube_root_vector(self.tubes[r.tube], r))
+        theta = self._thetas.get(label.coords)
+        if theta is None:
+            theta = self._thetas[label.coords] = self.theta_gfan(label)
+        return theta
 
     def _arc_product(self, *arcs: Optional[TubeRoot]) -> Optional[ThetaFunction]:
         """The pointed product of the arcs' thetas, None arcs skipped."""
@@ -275,7 +279,7 @@ class ThetaEngine:
 
     def _theta_delta_rank2(self) -> ThetaFunction:
         b12, b21 = self.data.b[0][1], self.data.b[1][0]
-        label = self.data.nu_c(self.data.delta)
+        label = self.nu_delta
         if (b12, b21) in _RANK2_DELTA_TABLE:
             poly = LaurentPoly(self.ctx, _RANK2_DELTA_TABLE[(b12, b21)])
         else:
@@ -302,7 +306,7 @@ class ThetaEngine:
             tail1 = self.theta_tube_root(TubeRoot(tube.index, (i + 1) % k, k - 2))
             tail2 = self.theta_tube_root(TubeRoot(tube.index, (i + 2) % k, k - 2))
         return self._theta_from_sum(
-            self.data.nu_c(self.data.delta),
+            self.nu_delta,
             [
                 (1, None, self.multiply(t_beta, t_rest)),
                 (-1, tube.orbit[i], tail1),
@@ -311,37 +315,34 @@ class ThetaEngine:
         )
 
     def theta_delta(self) -> ThetaFunction:
-        if self._k_delta:
-            return self._k_delta[0]
-        if self.n == 2:
-            theta = self._theta_delta_rank2()
-        elif not self.tubes:
-            raise NotInImaginaryWall(
-                "no tube simples detected; theta_delta needs rank 2 or a tube"
-            )
-        else:
-            theta = self.theta_delta_from(0, 0)
-        self._k_delta.append(theta)
-        return theta
+        return self.theta_k_delta(1)
 
     def theta_k_delta(self, k: int) -> ThetaFunction:
-        """Theta of k*nu_c(delta) by the recursion
+        """Theta of k*nu_c(delta): theta_1 from the rank-2 table or a tube,
+        then the recursion
         theta_2 = theta_1^2 - 2 y^delta,  theta_k = theta_{k-1} theta_1 - y^delta theta_{k-2}."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.theta_delta()
         delta = self.data.delta
-        while len(self._k_delta) < k:
-            j = len(self._k_delta) + 1
-            t1 = self._k_delta[0]
-            if j == 2:
-                terms = [(1, None, self.multiply(t1, t1)), (-2, delta, None)]
+        ray = [self.nu_delta.scale(j).coords for j in range(k + 1)]
+        for j in range(1, k + 1):
+            if ray[j] in self._thetas:
+                continue
+            if j > 1:
+                t1, prev = self._thetas[ray[1]], self._thetas[ray[j - 1]]
+                tail = (-2, delta, None) if j == 2 else (-1, delta, self._thetas[ray[j - 2]])
+                terms = [(1, None, self.multiply(prev, t1)), tail]
+                theta = self._theta_from_sum(WeightVec(ray[j]), terms)
+            elif self.n == 2:
+                theta = self._theta_delta_rank2()
+            elif self.tubes:
+                theta = self.theta_delta_from(0, 0)
             else:
-                prev, prev2 = self._k_delta[-1], self._k_delta[-2]
-                terms = [(1, None, self.multiply(prev, t1)), (-1, delta, prev2)]
-            label = self.data.nu_c(delta).scale(j)
-            self._k_delta.append(self._theta_from_sum(label, terms))
-        return self._k_delta[k - 1]
+                raise NotInImaginaryWall(
+                    "no tube simples detected; theta_delta needs rank 2 or a tube"
+                )
+            self._thetas[ray[j]] = theta
+        return self._thetas[ray[k]]
 
     # -- general points of the imaginary wall -----------------------------------
 
@@ -349,34 +350,30 @@ class ThetaEngine:
         """Theta of nu_c(phi) for phi in the tube cone, as the product
         theta_{m_delta nu(delta)} * prod theta_{nu(arc)}^mult."""
         m_delta, arcs = cluster_expansion_imaginary(self.data, self.tubes, phi)
-        if m_delta == 0:
-            theta = self.theta_by_label(WeightVec((0,) * self.n))
-        else:
-            theta = self.theta_k_delta(m_delta)
+        pieces = [self.theta_k_delta(m_delta)] if m_delta else []
         for r in sorted(arcs):
-            arc = self.theta_tube_root(r)
-            for _ in range(arcs[r]):
-                theta = self.multiply(theta, arc)
+            pieces += [self.theta_tube_root(r)] * arcs[r]
+        theta = self.product(pieces) or self._thetas[(0,) * self.n]
         if theta.label != self.data.nu_c(phi):
             raise IdentityViolated("compatible expansion does not sum to phi")
         return theta
 
     def theta_by_label(self, label: WeightVec) -> ThetaFunction:
         """Theta for a lattice point of the imaginary wall given by its label
-        (theta_0 = 1 by convention)."""
-        if label.is_zero():
-            return ThetaFunction(label, {label.coords: 1}, self.grading)
-        return self.theta_imaginary(self.data.nu_c_inv(label))
+        (theta_0 = 1 by convention), built once per engine."""
+        theta = self._thetas.get(label.coords)
+        if theta is None:
+            theta = self._thetas[label.coords] = self.theta_imaginary(self.data.nu_c_inv(label))
+        return theta
 
     # -- products in the theta basis ----------------------------------------------
 
     def dominance_chain(self, label: WeightVec) -> List[WeightVec]:
         """{label - 2a nu_c(delta) : a >= 0} intersected with d_infinity."""
         out = []
-        nu_delta = self.data.nu_c(self.data.delta)
         a = 0
         while True:
-            kappa = label - nu_delta.scale(2 * a)
+            kappa = label - self.nu_delta.scale(2 * a)
             if not affine.weight_in_imaginary_wall(self.data, self.tubes, kappa):
                 break
             out.append(kappa)
@@ -413,7 +410,7 @@ class ThetaEngine:
             if not remainder:
                 break
             peel(kappa)
-        budget = self.peel_budget
+        budget = PEEL_BUDGET
         while remainder:
             if budget == 0:
                 raise NonTerminating("theta-basis peeling exceeded its budget")
@@ -465,7 +462,7 @@ class ThetaEngine:
             TubeRoot(tube.index, (i + 1) % k, k - 1), TubeRoot(tube.index, (j + 1) % k, k - 1)
         )
         rhs = [
-            (1, None, self.theta_imaginary(self.data.delta + vec_phi + vec_phi_p)),
+            (1, None, self.theta_by_label(self.data.nu_c(self.data.delta + vec_phi + vec_phi_p))),
             (1, vec_phi_p + tube.orbit[i], self._arc_product(phi, phi)),
             (1, vec_phi + tube.orbit[j], self._arc_product(phi_p, phi_p)),
         ]

@@ -618,12 +618,6 @@ def test_tube_sizes_by_fixture():
     assert [t.size for t in two] == [2, 2]
 
 
-def test_height_bound_too_small():
-    data = build_affine_data(B_A2T)
-    with pytest.raises(HeightBoundTooSmall):
-        detect_tubes(data, height_bound=1)
-
-
 def test_tube_root_vectors():
     data = build_affine_data(B_A3T)
     tube = detect_tubes(data)[0]

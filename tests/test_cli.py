@@ -55,6 +55,11 @@ def test_malformed_matrix_exits_2(tmp_path, capsys):
     [
         ('{"n": 0, "m": 0, "rows": []}', "need n >= 1"),
         ('{"n": 2, "m": 7, "rows": [[0,2],[-2,0],[1,0],[0,1]]}', '"m" is 7 but the file has 2'),
+        # entries must be JSON integers, not truncated floats or bools
+        ('{"n": 2, "m": 2, "rows": [[0, 2.9], [-2, 0], [1, 0], [0, true]]}', "2.9 is not an integer"),
+        ('{"n": 2, "m": 2, "rows": [[0, 2], [-2, 0], [1, 0], [0, true]]}', "true is not an integer"),
+        ('{"n": "2", "m": 2, "rows": [[0,2],[-2,0],[1,0],[0,1]]}', '"2" is not an integer'),
+        ('{"n": 2, "m": 2.0, "rows": [[0,2],[-2,0],[1,0],[0,1]]}', "2.0 is not an integer"),
     ],
 )
 def test_inconsistent_matrix_file_exits_2(tmp_path, capsys, text, reason):
@@ -66,6 +71,13 @@ def test_inconsistent_matrix_file_exits_2(tmp_path, capsys, text, reason):
         assert out == ""
         assert err.startswith("configuration error: malformed matrix file: ")
         assert reason in err
+
+
+def test_tube_info_has_no_height_bound():
+    # tubes are always found among the roots of height <= 4 ht(delta)
+    with pytest.raises(SystemExit) as exc:
+        main(["tube-info", "--matrix", "a2t", "--height-bound", "5"])
+    assert exc.value.code == 2
 
 
 def test_report_a1t_deterministic(capsys):

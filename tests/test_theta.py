@@ -14,8 +14,16 @@ from affcluster.affine import (
     tube_root_vector,
 )
 from affcluster.poly import LaurentPoly, substitute
-from affcluster.seeds import RootVec, WeightVec, denominator_vector_of
-from affcluster.theta import ThetaEngine
+from affcluster.seeds import (
+    RootVec,
+    WeightVec,
+    denominator_vector_of,
+    initial_seed,
+    mutate_rows,
+    mutation_map_eta,
+    rewrite_in_mutated_variables,
+)
+from affcluster.theta import PEEL_BUDGET, ThetaEngine
 
 B_KRON = ((0, 2), (-2, 0))
 B_41 = ((0, 4), (-1, 0))
@@ -224,7 +232,7 @@ def _reference_expand_product(eng, a, b):
         if not remainder:
             break
         peel(kappa)
-    budget = eng.peel_budget
+    budget = PEEL_BUDGET
     while remainder:
         assert budget > 0
         budget -= 1
@@ -459,6 +467,40 @@ def test_theta_gfan_not_found():
         eng.theta_gfan(WeightVec((-1, 1)))  # the imaginary ray is not a g-vector
 
 
+def test_theta_imaginary_runs_once_per_label(monkeypatch):
+    # every identity family reads imaginary-wall thetas from the store, so
+    # each compatible-expansion product is built once per engine
+    calls = []
+    theta_imaginary = ThetaEngine.theta_imaginary
+
+    def counted(self, phi):
+        calls.append(phi.coords)
+        return theta_imaginary(self, phi)
+
+    monkeypatch.setattr(ThetaEngine, "theta_imaginary", counted)
+    eng = ThetaEngine(cli.load_matrix("a4t").top())
+    for name in cli.IDENTITIES:
+        assert cli.run_identity(eng, name) == [], name
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+def test_theta_store_holds_only_the_imaginary_wall():
+    from affcluster.seeds import NotFound
+
+    eng = ThetaEngine(B_A2T)
+    nu_delta = eng.data.nu_c(eng.data.delta)
+    assert eng.theta_by_label(nu_delta) is eng.theta_delta()
+    with pytest.raises(NotFound):
+        eng.theta_gfan(nu_delta)  # the imaginary ray is still no g-vector
+    # x1 is a cluster variable off the wall: theta_gfan builds it, and the
+    # store does not take it in
+    label = WeightVec((1, 0, 0))
+    assert eng.theta_gfan(label).poly == LaurentPoly.var(eng.ctx, 0)
+    with pytest.raises(NotInImaginaryWall):
+        eng.theta_by_label(label)
+
+
 def test_expand_product_aborts_loudly_on_non_theta_input():
     from affcluster.theta import IdentityViolated, NonTerminating, ThetaFunction
 
@@ -505,10 +547,11 @@ def test_theta_from_sum_checks_the_label():
         eng._theta_from_sum(t1.label, [(1, None, t1), (1, None, None)])
 
 
-def test_expand_product_budget_exhaustion_is_loud():
+def test_expand_product_budget_exhaustion_is_loud(monkeypatch):
     from affcluster.theta import NonTerminating
 
-    eng = ThetaEngine(B_A3T, peel_budget=0)
+    monkeypatch.setattr("affcluster.theta.PEEL_BUDGET", 0)
+    eng = ThetaEngine(B_A3T)
     a = eng.theta_tube_root(TubeRoot(0, 1, 1))
     b = eng.theta_tube_root(TubeRoot(0, 2, 1))  # exchange pair: off-chain labels
     with pytest.raises(NonTerminating):
@@ -537,3 +580,31 @@ def test_affine_e6_cross_tube_consistency():
     eng.imaginary_exchange(0, 0, 1)
     eng.imaginary_exchange(1, 0, 2)
     eng.imaginary_exchange(2, 1, 2)
+
+
+def test_imaginary_thetas_are_mutation_invariant():
+    # theta functions do not depend on the seed (GHKK): mutating at a sink
+    # or source k and rewriting theta_lam in the new cluster variables gives,
+    # coefficient-free, the mutated engine's theta at eta_k(lam), for
+    # theta_delta, theta_2delta and theta_{delta+arc} for every arc
+    cases = 0
+    for name in ("a2t", "a3t", "a3t22", "a4t", "c2t", "d4t"):
+        eng = ThetaEngine(cli.load_matrix(name).top())
+        b = eng.data.b
+        nu_delta = eng.data.nu_c(eng.data.delta)
+        labels = [nu_delta, nu_delta.scale(2)]
+        for tube in eng.tubes:
+            arcs = [tube_root_vector(tube, r) for r in all_arcs(tube)]
+            labels += [nu_delta + eng.data.nu_c(arc) for arc in arcs]
+        seed = initial_seed(eng.matrix, eng.ctx)
+        for k in range(eng.n):
+            if min(b[k]) < 0 < max(b[k]):
+                continue  # neither a sink nor a source
+            mutated = ThetaEngine(mutate_rows(b, k))
+            for lam in labels:
+                moved = rewrite_in_mutated_variables(seed, k, eng.theta_by_label(lam).poly, lam)
+                target = mutated.theta_by_label(mutation_map_eta(b, [k], lam)).poly
+                want = mutated.specialize_coefficient_free(target)
+                assert eng.specialize_coefficient_free(moved) == want, (name, k, lam)
+                cases += 1
+    assert cases == 112
