@@ -433,12 +433,6 @@ def detect_tubes(data: AffineData) -> List[Tube]:
 
 # -- arcs ---------------------------------------------------------------------
 
-def arc(tube: Tube, start: int, length: int) -> TubeRoot:
-    if not 1 <= length < tube.size:
-        raise NotMember(f"arc length must be in 1..{tube.size - 1}")
-    return TubeRoot(tube.index, start % tube.size, length)
-
-
 def all_arcs(tube: Tube) -> List[TubeRoot]:
     return [
         TubeRoot(tube.index, s, l)

@@ -41,7 +41,7 @@ from .seeds import (
     mutate_seed_word,
     principal_extension,
 )
-from .theta import IdentityViolated, NonTerminating, ThetaEngine
+from .theta import IdentityViolated, ThetaEngine
 
 BUNDLED = ["a1t22", "a1t41", "a1t14", "a2t", "a3t", "a3t22", "a4t", "c2t", "d4t", "e6t"]
 
@@ -529,7 +529,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (IdentityViolated, NonTerminating) as exc:
+    except IdentityViolated as exc:
         print(f"identity violated: {exc}", file=sys.stderr)
         return 1
     except (

@@ -295,18 +295,21 @@ class ExchangeGraph:
     edges: List[Tuple[int, int, int]]  # (vertex, vertex, direction index)
 
 
+# Vertices enumerate_exchange_graph may visit before it gives up.
+VERTEX_BUDGET = 20000
+
+
 def enumerate_exchange_graph(
     tubes: Sequence[Tube],
     seed: GCASeed,
     labels: Tuple[TubeRoot, ...],
-    max_vertices: int = 20000,
 ) -> ExchangeGraph:
     """BFS over generalized seed mutation.
 
     Arc labels are carried along via exchange_partner; every mutated seed is
     compared against the seed built directly from its arc set, which also
     keeps the labels honest.
-    The graph is finite for tube seeds; exceeding max_vertices aborts loudly."""
+    The graph is finite for tube seeds; exceeding VERTEX_BUDGET aborts loudly."""
     tube_by_index = {t.index: t for t in tubes}
     index: Dict[object, int] = {seed.key(): 0}
     graph = ExchangeGraph([seed], [labels], [])
@@ -337,7 +340,7 @@ def enumerate_exchange_graph(
                     raise AssertionError("mutated matrix disagrees with built seed")
                 key = s2.key()
                 if key not in index:
-                    if len(graph.vertices) >= max_vertices:
+                    if len(graph.vertices) >= VERTEX_BUDGET:
                         raise RuntimeError("exchange graph exceeded its vertex budget")
                     index[key] = len(graph.vertices)
                     graph.vertices.append(s2)

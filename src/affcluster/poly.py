@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import isqrt, prod
 from operator import add, mul
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -70,9 +70,6 @@ class VarContext:
     @property
     def nvars(self) -> int:
         return self.n + self.m
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
 
 
 def _default_names(n: int, m: int) -> Tuple[str, ...]:
@@ -236,9 +233,6 @@ class LaurentPoly:
             (e, self.terms[e])
             for e in sorted(self.terms, key=_grlex_key, reverse=True)
         )
-
-    def __iter__(self) -> Iterator[Tuple[Exponent, int]]:
-        return iter(self.canonical_key())
 
     def _check(self, other: "LaurentPoly") -> None:
         if self.ctx != other.ctx:
@@ -407,14 +401,7 @@ def substitute(p: LaurentPoly, images: Mapping[int, LaurentPoly]) -> LaurentPoly
     def power(i: int, k: int) -> LaurentPoly:
         key = (i, k)
         if key not in power_cache:
-            img = images[i]
-            if k >= 0:
-                power_cache[key] = img ** k
-            else:
-                ((e, c),) = img.terms.items()
-                power_cache[key] = LaurentPoly.monomial(
-                    ctx, tuple(k * x for x in e), c if k % 2 else 1
-                )
+            power_cache[key] = images[i] ** k
         return power_cache[key]
 
     out: Dict[Exponent, int] = {}

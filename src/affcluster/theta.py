@@ -63,10 +63,6 @@ class IdentityViolated(AssertionError):
     """An identity that the engine relies on failed symbolically."""
 
 
-class NonTerminating(RuntimeError):
-    """Theta-basis peeling exceeded its budget; signals a violated identity."""
-
-
 @dataclass(frozen=True)
 class Grading:
     """The pointed grading of a principal-coefficient engine: the term u^beta
@@ -130,7 +126,7 @@ _RANK2_DELTA_TABLE = {
 }
 
 
-# Peels allowed after the dominance chain before expand_product gives up.
+# Peels expand_product may make, each of one label, before it gives up.
 PEEL_BUDGET = 64
 
 
@@ -386,46 +382,35 @@ class ThetaEngine:
         """Expand theta_a * theta_b as a k[y]-combination of thetas with
         positive coefficients (theta-basis positivity).
 
-        First peels along the dominance chain of label(a)+label(b) (largest
-        label first), then peels any remaining pointed leading terms; aborts
-        loudly if the remainder survives the budget.  The remainder is an
-        F-polynomial at lam = label(a) + label(b); u^gamma theta_kappa sits at
-        lam exactly when lam + B gamma = kappa, so every peel stays there."""
-        lam = a.label + b.label
+        Greedy peeling: each peel takes the remainder's pointed leading term
+        (least total u-degree, then graded-lex largest x-part kappa) and
+        subtracts theta_kappa times the coefficient of x^kappa.  Thetas form
+        a basis, so the expansion does not depend on the peel order; a
+        remainder that survives PEEL_BUDGET peels aborts loudly.  The
+        remainder is an F-polynomial at lam = label(a) + label(b);
+        u^gamma theta_kappa sits at lam exactly when lam + B gamma = kappa,
+        so every peel stays there."""
+        lam = (a.label + b.label).coords
         x_part = self.grading.x_part
         remainder = mul_terms(a.f, b.f)
         combo: Dict[WeightVec, Dict[Exponent, int]] = {}
-
-        def peel(kappa: WeightVec) -> None:
-            coeff = {
-                beta: c for beta, c in remainder.items() if x_part(lam.coords, beta) == kappa.coords
-            }
-            if not coeff:
-                return
-            theta = self.theta_by_label(kappa)
-            _add_into(remainder, mul_terms(coeff, theta.f), -1)
-            _add_into(combo.setdefault(kappa, {}), coeff, 1)
-
-        for kappa in self.dominance_chain(lam):
+        for _ in range(PEEL_BUDGET):
             if not remainder:
                 break
-            peel(kappa)
-        budget = PEEL_BUDGET
-        while remainder:
-            if budget == 0:
-                raise NonTerminating("theta-basis peeling exceeded its budget")
-            budget -= 1
-            # pointed leading term: minimal total u-degree, graded-lex max x-part
-            best = min(
-                remainder,
-                key=lambda beta: (sum(beta), tuple(-x for x in x_part(lam.coords, beta))),
-            )
+            at = {beta: x_part(lam, beta) for beta in remainder}
+            best = min(at, key=lambda beta: (sum(beta), tuple(-x for x in at[beta])))
+            kappa = WeightVec(at[best])
+            coeff = {beta: c for beta, c in remainder.items() if at[beta] == kappa.coords}
             try:
-                peel(WeightVec(x_part(lam.coords, best)))
+                theta = self.theta_by_label(kappa)
             except NotInImaginaryWall as exc:
                 raise IdentityViolated(
                     f"product of imaginary thetas left d_infinity: {exc}"
                 ) from exc
+            _add_into(remainder, mul_terms(coeff, theta.f), -1)
+            _add_into(combo.setdefault(kappa, {}), coeff, 1)
+        if remainder:
+            raise IdentityViolated("theta-basis peeling exceeded its budget")
         # structure constants lie in k[y] with positive coefficients (GHKK)
         for coeff in combo.values():
             for gamma, c in coeff.items():

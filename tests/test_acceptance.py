@@ -6,7 +6,6 @@ state them.
 """
 
 import itertools
-import random
 import time
 
 from affcluster.affine import (

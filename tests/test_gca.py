@@ -230,12 +230,13 @@ def test_build_rejects_non_maximal():
         build_tube_seed(eng.tubes, [TubeRoot(0, 0, 1), TubeRoot(0, 1, 1)])
 
 
-def test_exchange_graph_budget_is_loud():
+def test_exchange_graph_budget_is_loud(monkeypatch):
+    monkeypatch.setattr("affcluster.gca.VERTEX_BUDGET", 2)
     eng = ThetaEngine(B_A3T)
     jset = sorted(maximal_compatible_sets(eng.tubes[0]))[0]
     seed, labels = build_tube_seed(eng.tubes, jset)
     with pytest.raises(RuntimeError):
-        enumerate_exchange_graph(eng.tubes, seed, labels, max_vertices=2)
+        enumerate_exchange_graph(eng.tubes, seed, labels)
 
 
 def test_kernel_generators_vanish_under_substitution():

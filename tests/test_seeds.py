@@ -1,6 +1,5 @@
 """Matrix and seed mutation, mutation maps, g-vectors, variable search."""
 
-import random
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
