@@ -226,6 +226,11 @@ def _check_nonnegative(flag: str, value: int) -> None:
         raise ConfigError(f"{flag} must be nonnegative, got {value}")
 
 
+def _check_kmax(kmax: int) -> None:
+    if kmax < 2:
+        raise ConfigError(f"kmax must be at least 2 to check an identity, got {kmax}")
+
+
 def cmd_scatter2(args) -> int:
     matrix = load_matrix(args.matrix)
     if matrix.n != 2:
@@ -334,8 +339,7 @@ def run_identity(eng: ThetaEngine, name: str, kmax: int = 4) -> List[str]:
                             f"theta_delta differs for tube {tube.index} position {pos}"
                         )
     elif name == "cheby":
-        if kmax < 2:
-            raise ConfigError(f"kmax must be at least 2 to check an identity, got {kmax}")
+        _check_kmax(kmax)
         # theta_k theta_l = theta_{k+l} + y^{l delta} theta_{k-l} (l < k) and
         # theta_k^2 = theta_{2k} + 2 y^{k delta}, compared in pointed form
         theta, delta = eng.theta_k_delta, eng.data.delta
@@ -408,6 +412,13 @@ def cmd_verify(args) -> int:
     matrix = load_matrix(args.matrix)
     eng = ThetaEngine(matrix.top(), depth=args.depth)
     names = IDENTITIES if args.identity == "all" else [args.identity]
+    if "cheby" in names:
+        _check_kmax(args.kmax)
+    # every tube root first: one the search cannot reach exits 2 (NotFound)
+    # before any family prints a verdict
+    for tube in eng.tubes:
+        for r in all_arcs(tube):
+            eng.theta_tube_root(r)
     failures: Dict[str, List[str]] = {}
     for name in sorted(names):
         try:

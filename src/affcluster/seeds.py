@@ -5,8 +5,10 @@ exchange matrix proper and the remaining m rows the coefficient part.
 All indices in this module are 0-based; the CLI converts from 1-based.
 
 All arithmetic is integer: the skew-symmetrizer is decided by coroot_scalers
-and the g-vector search runs on integer states (ThetaEngine.theta_gfan turns
-a g-vector into its cluster variable).
+and the g-vector search runs on integer G-matrices: it keys a seed on G
+alone, which determines the seed, and builds the seed's extended exchange
+matrix only when it expands that seed (ThetaEngine.theta_gfan turns a
+g-vector into its cluster variable).
 """
 
 from __future__ import annotations
@@ -334,35 +336,48 @@ def denominator_vector_of(p: LaurentPoly) -> RootVec:
 # -- g-vector search ---------------------------------------------------------
 
 def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
-    """BFS over (B-tilde, G-matrix) states from a principal extension.
+    """BFS over the seeds of a principal extension, keyed on their G-matrices.
 
     Yields (g_column, mutation word, column index) for every cluster variable
     encountered, initial ones first.  Integer matrices only; polynomials are
     reconstructed by the caller when needed.
 
-    A state stores B-tilde transposed, n rows of length n+m whose row k is
-    column k of B-tilde (its last m entries are the c-vector that gives the
-    sign eps_k), and G as the tuple of its columns, the g-vectors.  Mutation
-    commutes with transposition, since the correction sgn(b_ik)[b_ik b_kj]_+
-    is symmetric in its two factors, so mutate_rows on the transposed matrix
-    rebuilds only row k and the rows j with b_kj != 0; the other rows and
-    every g-vector but the k-th (Fomin-Zelevinsky's G-matrix recursion) are
-    shared with the parent state.  The dedup key (transposed B-tilde, G
-    columns) is a one-to-one relabelling of (B-tilde, G), so the states, the
-    words and the yield order are those of the search on B-tilde itself."""
+    The dedup key is G alone, the tuple of its columns (the g-vectors).  On
+    every reachable seed G determines B-tilde: tropical duality (Nakanishi-
+    Zelevinsky) gives C_t from G_t, and G_t B_t = B_0 C_t (Fomin-Zelevinsky
+    IV, (6.14)) with G_t unimodular gives B_t.  So the key is one-to-one on
+    states, and the states, the words and the yield order are those of the
+    search keyed on (B-tilde, G).
+
+    A child's g-vector, g'_k = -g_k + sum_j [-eps_k b_jk]_+ g_j (the G-matrix
+    recursion), needs only column k of its parent's B-tilde, so a candidate
+    is looked up before anything is mutated.  A kept state is stored as (its
+    parent's B-tilde, k, G, word) and its own B-tilde is built only when the
+    state is expanded: states at the last depth, and those a lazy consumer
+    never reaches, are never mutated.  Mutating back at the last letter of
+    the word returns the parent, which is already seen, so that direction is
+    skipped.
+
+    B-tilde is stored transposed: n rows of length n+m, row k being column k
+    of B-tilde, whose last m entries are the c-vector that gives the sign
+    eps_k.  Mutation commutes with transposition, since the correction
+    sgn(b_ik)[b_ik b_kj]_+ is symmetric in its two factors, so mutate_rows
+    rebuilds only row k and the rows j with b_kj != 0."""
     n = matrix.n
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     if matrix.bottom() != ident:
         raise ValueError("g-vector search requires principal coefficients")
-    start = (tuple(zip(*matrix.rows)), ident)
-    seen = {start}
-    frontier = [(start, ())]
+    seen = {ident}
+    frontier = [(tuple(zip(*matrix.rows)), None, ident, ())]
     for j in range(n):
         yield ident[j], (), j
     for _ in range(depth):
         new_frontier = []
-        for (cols, g), word in frontier:
+        for parent, last, g, word in frontier:
+            cols = parent if last is None else mutate_rows(parent, last)
             for k in range(n):
+                if k == last:
+                    continue
                 col = cols[k]
                 c_vec = col[n:]
                 if min(c_vec) >= 0:
@@ -378,12 +393,13 @@ def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
                     if c > 0:
                         g_k = [x + c * y for x, y in zip(g_k, g[j])]
                 g_k = tuple(g_k)
-                state = (mutate_rows(cols, k), g[:k] + (g_k,) + g[k + 1 :])
-                if state in seen:
+                g2 = g[:k] + (g_k,) + g[k + 1 :]
+                size = len(seen)
+                seen.add(g2)
+                if len(seen) == size:
                     continue
-                seen.add(state)
                 word2 = word + (k,)
-                new_frontier.append((state, word2))
+                new_frontier.append((cols, k, g2, word2))
                 yield g_k, word2, k
         frontier = new_frontier
         if not frontier:

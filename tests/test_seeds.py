@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from affcluster import cli
+from affcluster import cli, seeds
 from affcluster.poly import LaurentPoly, clear_tropical, default_context, pointed_form, pointed_split
 from affcluster.seeds import (
     ExtendedExchangeMatrix,
@@ -29,6 +29,7 @@ from affcluster.seeds import (
     sink_to_source_word,
 )
 from affcluster.theta import ThetaEngine
+from test_affine import AFFINE_TYPES
 
 B_KRON = ((0, 2), (-2, 0))
 B_A2T = ((0, 1, 1), (-1, 0, 1), (-1, -1, 0))
@@ -378,8 +379,9 @@ def _g_mutate(b_top, g, eps, k):
     return tuple(tuple(new_col[i] if j == k else g[i][j] for j in range(n)) for i in range(n))
 
 
-def _reference_frontier(matrix, depth):
-    """The search on untransposed (B-tilde, G) states, every entry rebuilt."""
+def _reference_search(matrix, depth):
+    """The search on untransposed (B-tilde, G) states, every entry rebuilt:
+    its yields, and every state it keeps with G stored by rows."""
     n = matrix.n
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     start = (matrix.rows, ident)
@@ -396,15 +398,108 @@ def _reference_frontier(matrix, depth):
                     new_frontier.append((state, word + (k,)))
                     out.append((tuple(r[k] for r in state[1]), word + (k,), k))
         frontier = new_frontier
-    return out
+    return out, seen
+
+
+# Dynkin diagrams of finite type, as edges (i, j, x, y) with a_ij = -x and
+# a_ji = -y: A1, A3, A4, D4, B3, G2 and F4.
+_FINITE_TYPES = [
+    (1, []),
+    (3, [(0, 1, 1, 1), (1, 2, 1, 1)]),
+    (4, [(0, 1, 1, 1), (1, 2, 1, 1), (2, 3, 1, 1)]),
+    (4, [(0, 2, 1, 1), (1, 2, 1, 1), (2, 3, 1, 1)]),
+    (3, [(0, 1, 1, 1), (1, 2, 1, 2)]),
+    (2, [(0, 1, 1, 3)]),
+    (4, [(0, 1, 1, 1), (1, 2, 1, 2), (2, 3, 1, 1)]),
+]
+
+
+def _oriented(rng, n, edges):
+    """An exchange matrix on the diagram, each edge oriented at random."""
+    b = [[0] * n for _ in range(n)]
+    for i, j, x, y in edges:
+        if rng.random() < 0.5:
+            i, j, x, y = j, i, y, x
+        b[i][j], b[j][i] = x, -y
+    return tuple(map(tuple, b))
+
+
+def _random_principal_input(rng, kind):
+    """A principal extension that is not of affine type: finite type (any
+    seed of the mutation class), wild rank 3, or a disconnected sum."""
+    if kind == "finite":
+        b = _oriented(rng, *rng.choice(_FINITE_TYPES))
+        for _ in range(rng.randint(0, 3)):
+            b = mutate_rows(b, rng.randrange(len(b)))
+    elif kind == "wild":
+        if rng.random() < 0.5:  # a cyclic or acyclic triangle
+            x, y, z = (rng.randint(2, 4) for _ in range(3))
+            s = rng.choice([1, -1])
+            b = ((0, x, -s * z), (-x, 0, y), (s * z, -y, 0))
+        else:  # a path of two wild rank-2 edges
+            weights = [(1, 5), (5, 1), (2, 3), (3, 2), (3, 3), (1, 4)]
+            b = _oriented(rng, 3, [(0, 1, *rng.choice(weights)), (1, 2, *rng.choice(weights))])
+    else:
+        blocks = [rng.choice([((0,),), B_KRON, ((0, 1), (-2, 0)), ((0, -1), (1, 0))]) for _ in range(2)]
+        n = sum(map(len, blocks))
+        perm = rng.sample(range(n), n)
+        pos, b = 0, [[0] * n for _ in range(n)]
+        for block in blocks:
+            for i, row in enumerate(block):
+                for j, x in enumerate(row):
+                    b[perm[pos + i]][perm[pos + j]] = x
+            pos += len(block)
+        b = tuple(map(tuple, b))
+    return principal_extension(b)
 
 
 @pytest.mark.parametrize(
-    "name, depth", [(name, 6 if name == "e6t" else 8) for name in cli.BUNDLED]
+    "name, depth",
+    [(name, 6 if name == "e6t" else 8) for name in cli.BUNDLED]
+    + [(name, 8) for name in ("D5", "B3", "F4", "G2")]
+    + [(kind, 5) for kind in ("finite", "wild", "disconnected")],
 )
-def test_gvector_search_matches_reference(name, depth):
+def test_gvector_search_matches_reference(rng, name, depth):
+    if name in ("finite", "wild", "disconnected"):
+        cases = [(_random_principal_input(rng, name), rng.randint(1, depth)) for _ in range(12)]
+    else:
+        b = AFFINE_TYPES[name][0] if name in AFFINE_TYPES else cli.load_matrix(name).top()
+        cases = [(principal_extension(b), depth)]
+    for matrix, d in cases:
+        assert list(enumerate_gvector_frontier(matrix, d)) == _reference_search(matrix, d)[0], matrix.rows
+
+
+@pytest.mark.parametrize("name", cli.BUNDLED)
+def test_gmatrix_determines_the_state(name):
+    """G_t B_t = B_0 C_t (Fomin-Zelevinsky IV, (6.14)) on every state of the
+    reference search, so G, which is unimodular, determines B_t and, by
+    tropical duality, C_t: the search may key its states on G alone."""
     matrix = principal_extension(cli.load_matrix(name).top())
-    assert list(enumerate_gvector_frontier(matrix, depth)) == _reference_frontier(matrix, depth)
+    n, b0 = matrix.n, matrix.top()
+    _, states = _reference_search(matrix, 6)
+
+    def prod(x, y):
+        return [[sum(x[i][l] * y[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+
+    for rows, g in states:
+        assert prod(g, rows[:n]) == prod(b0, rows[n:]), (name, rows, g)
+    assert len({g for _, g in states}) == len(states)
+
+
+@pytest.mark.parametrize("depth", [3, 5])
+def test_gvector_search_mutates_only_expanded_states(monkeypatch, depth):
+    """B-tilde is built once per expanded state: never for the last level
+    and never for the mutation back to the parent."""
+    calls = []
+
+    def counting(rows, k):
+        calls.append(k)
+        return mutate_rows(rows, k)
+
+    monkeypatch.setattr(seeds, "mutate_rows", counting)
+    matrix = principal_extension(cli.load_matrix("e6t").top())
+    got = list(enumerate_gvector_frontier(matrix, depth))
+    assert len(calls) == sum(1 <= len(word) < depth for _, word, _ in got) > 0
 
 
 def test_gvector_search_requires_principal_coefficients():
