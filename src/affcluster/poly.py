@@ -15,19 +15,23 @@ mul_terms multiplies two such term maps without a context, choosing by
 the number of term pairs against the size of the product's exponent box.
 Few pairs go through the term-by-term loop of LaurentPoly.__mul__.  A box
 with at least one pair per lattice point (the F-polynomials of d4t theta
-functions fill a third to a half of theirs) is packed: each operand becomes
-one Python int by Kronecker substitution, one slot per lattice point, and a
-single big-int multiply gives the product.  A sparser box, or one over
+functions fill a third to a half of theirs) is packed: an operand becomes
+one Python int by Kronecker substitution, one slot per lattice point.  The
+product is then one big-int multiply, or, when one operand has few terms,
+a shift and add of the other packed operand per term; the slots of the
+result are read back through a memoryview.  A sparser box, or one over
 2^20 lattice points, goes through the term-by-term loop too.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product, repeat, tee
 from math import isqrt, prod
-from operator import add, mul
+from operator import add, lshift, mul, sub
 from typing import Dict, Iterable, Mapping, Tuple
 
 Exponent = Tuple[int, ...]
@@ -101,10 +105,15 @@ def _sparse_product(f: Mapping[Exponent, int], g: Mapping[Exponent, int]) -> Dic
 # costs about 15 us; above, the product is packed when it has at least
 # _PAIRS_PER_SLOT pairs per slot of its box (the measured crossover lies
 # between 0.9 and 1.4) and the box has at most _MAX_SLOTS slots, since a
-# packed product holds several buffers of box * slot width bytes.
+# packed product holds several buffers of box * slot width bytes.  A
+# packed product whose smaller operand has at most _SHIFT_TERMS terms is
+# a shift and add per term of it instead of a full multiply; the measured
+# crossover lies between 192 and 320 terms against a 634-term operand and
+# above 400 against operands of 1,914 terms and more.
 _BOX_PAIRS = 32
 _PAIRS_PER_SLOT = 1
 _MAX_SLOTS = 1 << 20
+_SHIFT_TERMS = 256
 
 
 def mul_terms(f: Mapping[Exponent, int], g: Mapping[Exponent, int]) -> Dict[Exponent, int]:
@@ -113,13 +122,19 @@ def mul_terms(f: Mapping[Exponent, int], g: Mapping[Exponent, int]) -> Dict[Expo
 
     A product with few term pairs, or with fewer pairs than lattice points
     in its exponent box lo <= e <= hi, runs the term-by-term loop of
-    LaurentPoly.__mul__.  Otherwise both operands are packed by Kronecker
-    substitution (_packed_product) and multiplied as two big ints.
+    LaurentPoly.__mul__.  Otherwise it is packed by Kronecker substitution
+    (_packed_product): the larger operand, or both, become big ints; the
+    product is one big-int multiply, or a shift and add per term when the
+    smaller operand has at most _SHIFT_TERMS terms and the product is not
+    a square.
 
     Costs measured on CPython 3.11 with 2 to 7 variables: a pair of terms
-    costs 0.8 to 1.5 us in the loop; a packed slot costs 0.2 to 2 us,
-    growing with the slot width and the box, since CPython multiplies big
-    ints by Karatsuba."""
+    costs 0.8 to 1.5 us in the loop.  A packed product costs 1 to 1.6 us
+    per packed term, then its multiply step, then 0.17 to 0.47 us per slot
+    of the box to read the result back.  The multiply step is Karatsuba
+    on the two packed ints (114 ms for a 1,914-term square in a box of
+    111,537 4-byte slots), or linear time per term of the smaller operand
+    (7 ms for 22 terms against 19,826 in the same box)."""
     pairs = len(f) * len(g)
     if pairs >= _BOX_PAIRS:
         fcols, gcols = list(zip(*f)), list(zip(*g))
@@ -139,13 +154,16 @@ def _packed_product(
 
     Lattice point e of the product box gets the slot k(e), the row-major
     index of e - flo - glo, so that k(e1 + e2) = k1(e1) + k2(e2) for the
-    operands' indices k1(e1) of e1 - flo and k2(e2) of e2 - glo.  Each
-    operand is packed as the signed integer  sum_e c_e 2^(w k(e))  and one
-    big-int multiply gives the product: every slot of it holds a
-    coefficient c with |c| < bound, where bound^2 > sum c_f^2 * sum c_g^2
-    (Cauchy-Schwarz) and 2 bound <= 2^w, so adding bound to every slot
-    makes them all nonnegative and the slots can be read back from the
-    bytes of one integer."""
+    operands' indices k1(e1) of e1 - flo and k2(e2) of e2 - glo.  An
+    operand is packed as the signed integer  sum_e c_e 2^(w k(e)).  The
+    product is one big-int multiply of the two packed operands, or, when
+    the smaller operand has at most _SHIFT_TERMS terms and is not the
+    other, the sum of c_e times the larger one, packed and shifted by
+    w k(e) bits, over the smaller one's terms.  Every
+    slot of it holds a coefficient c with |c| < bound, where bound^2 >
+    sum c_f^2 * sum c_g^2 (Cauchy-Schwarz) and 2 bound <= 2^w, so adding
+    bound to every slot makes them all nonnegative and the slots can be
+    read back from the bytes of one integer (_slot_values)."""
     strides = [1] * len(dims)
     for i in range(len(dims) - 1, 0, -1):
         strides[i - 1] = strides[i] * dims[i]
@@ -166,18 +184,62 @@ def _packed_product(
                 neg[k : k + width] = (-c).to_bytes(width, "little")
         return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    packed_f = pack(f, flo)
-    packed = packed_f * (packed_f if g is f else pack(g, glo))
+    if len(f) < len(g):
+        f, flo, g, glo = g, glo, f, flo
+    if g is f:
+        packed_f = pack(f, flo)
+        packed = packed_f * packed_f
+    elif len(g) <= _SHIFT_TERMS:
+        packed = _shift_and_add(pack(f, flo), g, glo, strides, 8 * width)
+    else:
+        packed = pack(f, flo) * pack(g, glo)
     bias = int.from_bytes(bound.to_bytes(width, "little") * box, "little")
     data = (packed + bias).to_bytes(size, "little")
     lattice = product(*(range(a + b, a + b + d) for a, b, d in zip(flo, glo, dims)))
-    out: Dict[Exponent, int] = {}
-    from_bytes = int.from_bytes
-    for k, e in zip(range(0, size, width), lattice):
-        c = from_bytes(data[k : k + width], "little") - bound
-        if c:
-            out[e] = c
-    return out
+    select, values = tee(map(sub, _slot_values(data, width), repeat(bound)))
+    return dict(zip(compress(lattice, select), filter(None, values)))
+
+
+def _shift_and_add(
+    packed: int, terms: Mapping[Exponent, int], lo: list, strides: list, bits: int
+) -> int:
+    """packed times the packing of terms at bits per slot, as the sum of
+    c * packed << (bits * k(e)) over the terms c x^e, k(e) the row-major
+    index of e - lo: one linear-time shift and add per term."""
+    base = sum(map(mul, lo, strides))
+    return sum((packed * c) << (sum(map(mul, e, strides)) - base) * bits for e, c in terms.items())
+
+
+# memoryview cast codes by item size, since the sizes of C's int and long
+# differ across platforms; the packed slots are little-endian
+_CAST_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _slot_values(data: bytes, width: int) -> Iterable[int]:
+    """The unsigned little-endian slots of width bytes in data, in order.
+
+    The slots are copied, one strided slice per byte, into slots of the
+    next item size of 1, 2, 4 or 8 bytes (a multiple of 8 above 8), so that
+    a memoryview reads them, or their 64-bit limbs, as native ints.  On a
+    big-endian host each item's bytes are reversed in the copy."""
+    item = 1 << (width - 1).bit_length() if width <= 8 else 8
+    wide = -(-width // item) * item
+    if wide == width and _LITTLE_ENDIAN:
+        buf = data
+    else:
+        buf = bytearray(len(data) // width * wide)
+        for i in range(width):
+            at = i if _LITTLE_ENDIAN else i - i % item + item - 1 - i % item
+            buf[at::wide] = data[i::width]
+    view = memoryview(buf).cast(_CAST_CODES[item])
+    if wide == item:
+        return view
+    limbs = wide // item
+    values: Iterable[int] = view[::limbs]
+    for j in range(1, limbs):
+        values = map(add, values, map(lshift, view[j::limbs], repeat(64 * j)))
+    return values
 
 
 class LaurentPoly:

@@ -111,11 +111,15 @@ Term = Tuple[int, Optional[RootVec], Optional[ThetaFunction]]
 
 
 def _add_into(target: Dict[Exponent, int], terms: Dict[Exponent, int], sign: int) -> None:
-    """target += sign * terms, keeping only nonzero coefficients."""
+    """target += sign * terms, keeping only nonzero coefficients: a
+    coefficient that cancels is dropped at once."""
+    get = target.get
     for e, c in terms.items():
-        target[e] = target.get(e, 0) + sign * c
-        if not target[e]:
-            del target[e]
+        v = get(e, 0) + sign * c
+        if v:
+            target[e] = v
+        else:
+            target.pop(e, None)
 
 
 # The rank-2 closed forms, keyed by (b12, b21).  Exponent order: x1 x2 u1 u2.
@@ -203,26 +207,37 @@ class ThetaEngine:
 
         y^gamma theta has the term F(beta) at (label - B gamma, beta + gamma),
         and (label, beta) stands for x^(label + B beta) u^beta, a bijection
-        onto the monomials: the sum is zero exactly when the map is empty."""
+        onto the monomials: the sum is zero exactly when the map is empty.
+        The first map at a label with c = 1 is copied whole; every further
+        term is merged by _add_into, and a label whose map cancels is
+        dropped, so no map and no coefficient in the result is zero."""
         zero = (0,) * self.n
         out: Dict[Exponent, Dict[Exponent, int]] = {}
         for c, gamma, theta in terms:
+            if not c:
+                continue
             label = zero if theta is None else theta.label.coords
             f = {zero: 1} if theta is None else theta.f
             if gamma is not None:
                 label = tuple(map(sub, label, self.data.b_weight(gamma).coords))
                 f = {tuple(map(add, beta, gamma.coords)): v for beta, v in f.items()}
-            acc = out.setdefault(label, {})
-            for beta, v in f.items():
-                acc[beta] = acc.get(beta, 0) + c * v
-        out = {label: {beta: v for beta, v in acc.items() if v} for label, acc in out.items()}
-        return {label: acc for label, acc in out.items() if acc}
+            acc = out.get(label)
+            if acc is None:
+                out[label] = dict(f) if c == 1 else {beta: c * v for beta, v in f.items()}
+            else:
+                _add_into(acc, f, c)
+                if not acc:
+                    del out[label]
+        return out
 
     def same(self, lhs: Sequence[Term], rhs: Sequence[Term]) -> bool:
         """Whether sum lhs == sum rhs exactly, for terms (c, gamma, theta)
         meaning c y^gamma theta: LaurentPoly equality, compared in pointed
-        form whatever labels the terms sit at."""
-        return not self._collect([*lhs, *((-c, gamma, theta) for c, gamma, theta in rhs)])
+        form whatever labels the terms sit at.  Each side is collected
+        (_collect) into label -> F with no zero coefficient, so the sums
+        are equal exactly when the two maps are; the maps are compared by
+        dict equality, with no Python loop over their coefficients."""
+        return self._collect(lhs) == self._collect(rhs)
 
     def _theta_from_sum(self, label: WeightVec, terms: Sequence[Term]) -> ThetaFunction:
         """The theta function sum c y^gamma theta, which must be pointed at

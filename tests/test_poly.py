@@ -1,6 +1,9 @@
 """Laurent polynomial arithmetic: exactness, division, substitution, pointing."""
 
 import random
+from array import array
+from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -262,6 +265,131 @@ def test_mul_terms_matches_the_sparse_loop(rng, monkeypatch):
                         assert len(packed) == before, "a sparse box was packed"
                     if nf == ng == 120 and a is f:
                         assert len(packed) == before + 1, "a dense box was not packed"
+
+
+def _dense_terms(rng, nvars, nterms, side, mag, shift=0):
+    """nterms distinct exponents in [shift, shift + side)^nvars, each with a
+    signed coefficient of at most mag."""
+    points = rng.sample(list(product(range(shift, shift + side), repeat=nvars)), nterms)
+    return {e: rng.choice((-1, 1)) * rng.randint(1, mag) for e in points}
+
+
+def _slot_width(f, g):
+    bound = isqrt(sum(c * c for c in f.values()) * sum(c * c for c in g.values())) + 1
+    return ((2 * bound - 1).bit_length() + 7) // 8
+
+
+def test_packed_product_every_multiply_step_and_slot_width(rng, monkeypatch):
+    # dense boxes in 2 or 3 variables, so every product below is packed:
+    # squares, a smaller operand of 3 and of _SHIFT_TERMS terms (shift and
+    # add), and of _SHIFT_TERMS + 1 terms (full multiply), each at every
+    # slot width that the operand sizes allow; full multiplies of two
+    # operands over _SHIFT_TERMS terms need slots of 2 bytes or more
+    calls = {"packed": 0, "shift": 0}
+    widths = {"square": set(), "shift": set(), "full": set()}
+    packed, shift_and_add, slot_values = poly._packed_product, poly._shift_and_add, poly._slot_values
+
+    def count(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(poly, "_packed_product", count("packed", packed))
+    monkeypatch.setattr(poly, "_shift_and_add", count("shift", shift_and_add))
+    seen = []
+    monkeypatch.setattr(poly, "_slot_values", lambda data, w: seen.append(w) or slot_values(data, w))
+    cut = poly._SHIFT_TERMS
+    big = cut + 8
+    every = (1, 2, 3, 4, 5, 8, 9, 17, 24)
+    for nvars, width in zip([2, 3] * len(every), every):
+        side = round((1.2 * big) ** (1 / nvars)) + 1
+        small_side = round((2 * cut) ** (1 / nvars)) + 1
+        shapes = [
+            ("square", big, side, None, 0),
+            ("square", 22, round((1.2 * 22) ** (1 / nvars)) + 1, None, 0),
+            ("shift", big, side, 3, 2),
+            ("shift", big, side, cut, small_side),
+            ("full", big, side, cut + 1, small_side),
+        ]
+        for step, nf, fside, ng, gside in shapes:
+            for bits in range(8 * width):
+                mag = 1 << bits
+                f = _dense_terms(rng, nvars, nf, fside, mag, shift=-fside // 2)
+                g = f if ng is None else _dense_terms(rng, nvars, ng, gside, mag)
+                if _slot_width(f, g) == width:
+                    break
+            else:
+                continue  # too many terms for so narrow a slot
+            want = sparse_reference(f, g)
+            for a, b in ((f, g), (g, f)) if g is not f else ((f, f),):
+                before = dict(calls)
+                got = mul_terms(a, b)
+                assert calls["packed"] == before["packed"] + 1, "a dense box was not packed"
+                assert got == want and 0 not in got.values()
+                assert list(got) == sorted(got), "not in lattice order"
+                assert calls["shift"] == before["shift"] + (step == "shift")
+                assert seen[-1] == width
+            widths[step].add(width)
+    assert widths == {"square": set(every), "shift": set(every), "full": set(every) - {1}}
+
+
+def test_packed_product_cancelling_coefficients(rng, monkeypatch):
+    # (1 + x) a times (1 - x) b is (1 - x^2) a b: every x-term of the
+    # expansion cancels inside a slot, through either multiply step
+    steps = []
+    shift_and_add = poly._shift_and_add
+    monkeypatch.setattr(
+        poly, "_shift_and_add", lambda *args: steps.append(1) or shift_and_add(*args)
+    )
+    cut = poly._SHIFT_TERMS
+    side = isqrt(cut) + 4
+    zero, x, x2 = (0, 0), (1, 0), (2, 0)
+    for mag in (5, 2**40):
+        a = {e: abs(c) for e, c in _dense_terms(rng, 2, side * side - 5, side, mag).items()}
+        b = {e: abs(c) for e, c in _dense_terms(rng, 2, side * side - 9, side, mag).items()}
+        fa = mul_terms(a, {zero: 1, x: 1})
+        gb = mul_terms(b, {zero: 1, x: -1})
+        assert min(len(fa), len(gb)) > cut
+        for f, g, want in (
+            (fa, gb, mul_terms(mul_terms(a, b), {zero: 1, x2: -1})),
+            (fa, {zero: 1, x: -1}, mul_terms(a, {zero: 1, x2: -1})),
+        ):
+            before = len(steps)
+            got = mul_terms(f, g)
+            assert got == want == sparse_reference(f, g)
+            assert list(got) == sorted(got)
+            assert len(steps) == before + (len(g) <= cut)
+    assert steps
+
+
+def test_cast_codes_by_item_size():
+    assert sorted(poly._CAST_CODES) == [1, 2, 4, 8]
+    for size, code in poly._CAST_CODES.items():
+        assert array(code).itemsize == size
+        assert memoryview(bytes(2 * size)).cast(code).itemsize == size
+
+
+def test_slot_values_reads_every_width(rng, monkeypatch):
+    # little-endian slots of 1 to 20 bytes read back as ints; with the host
+    # taken for the other byte order, every item of 1, 2, 4 or 8 bytes (each
+    # 64-bit limb above 8) is read with its bytes reversed, which is what a
+    # native read on a host of that order undoes
+    for width in range(1, 21):
+        values = [rng.getrandbits(8 * width) for _ in range(50)] + [0, (1 << 8 * width) - 1]
+        data = b"".join(v.to_bytes(width, "little") for v in values)
+        assert list(poly._slot_values(data, width)) == values
+        item = min(8, 1 << (width - 1).bit_length())
+        swapped = []
+        for v in values:
+            raw = v.to_bytes(-(-width // item) * item, "little")
+            swapped.append(
+                sum(int.from_bytes(raw[j : j + item], "big") << 8 * j for j in range(0, len(raw), item))
+            )
+        native = poly._LITTLE_ENDIAN
+        monkeypatch.setattr(poly, "_LITTLE_ENDIAN", not native)
+        assert list(poly._slot_values(data, width)) == swapped
+        monkeypatch.setattr(poly, "_LITTLE_ENDIAN", native)
 
 
 def test_mul_terms_cancellation_empty_and_constant(rng):

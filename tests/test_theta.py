@@ -248,6 +248,42 @@ def _tube_fixture_engines():
             yield name, eng
 
 
+def _assert_collected_has_no_zero(collected):
+    # gca.t_o_check reads an empty collected difference as a proved identity
+    assert all(collected.values()), "an empty label map"
+    assert all(all(f.values()) for f in collected.values()), "a zero coefficient"
+
+
+def test_same_and_collect_edge_cases():
+    eng = ThetaEngine(cli.load_matrix("a3t").top())
+    tube = eng.tubes[0]
+    a, b = (eng.theta_tube_root(r) for r in all_arcs(tube)[:2])
+    assert a.label != b.label
+    delta, root = eng.data.delta, tube.orbit[0]
+    cases = [
+        # zero coefficients
+        ([(0, None, a)], [], True),
+        ([(0, delta, a), (1, None, b)], [(1, None, b), (0, None, None)], True),
+        # a side whose terms cancel, against an empty side and against zero terms
+        ([(2, root, a), (1, None, b), (-2, root, a), (-1, None, b)], [], True),
+        ([(1, None, None), (-1, None, None)], [(0, delta, b)], True),
+        # a label present on one side only
+        ([(1, None, a)], [(1, None, b)], False),
+        ([(1, None, a), (1, None, b)], [(1, None, a)], False),
+        ([(1, None, a)], [], False),
+        # the same label reached through a shift on one side only
+        ([(3, root, a), (1, None, b)], [(1, None, b), (1, root, a), (2, root, a)], True),
+    ]
+    for lhs, rhs, want in cases:
+        assert eng.same(lhs, rhs) == want == eng.same(rhs, lhs), (lhs, rhs)
+        assert (_reference_poly_sum(eng, lhs) == _reference_poly_sum(eng, rhs)) == want
+        for terms in (lhs, rhs, lhs + [(-c, g, t) for c, g, t in rhs]):
+            _assert_collected_has_no_zero(eng._collect(terms))
+    assert eng._collect([(0, None, a)]) == eng._collect([]) == {}
+    collected = eng._collect([(1, None, a)])
+    assert collected == {a.label.coords: a.f} and collected[a.label.coords] is not a.f
+
+
 def test_same_matches_laurent_sums(rng):
     # random sums of c y^gamma theta over thetas at many labels, against
     # LaurentPoly equality; rhs is lhs regrouped (equal), perturbed in one
@@ -291,6 +327,10 @@ def test_same_matches_laurent_sums(rng):
                 rhs = [term() for _ in range(rng.randint(1, 6))]
             want = _reference_poly_sum(eng, lhs) == _reference_poly_sum(eng, rhs)
             assert eng.same(lhs, rhs) == want, (name, kind)
+            difference = lhs + [(-c, gamma, theta) for c, gamma, theta in rhs]
+            for collected in map(eng._collect, (lhs, rhs, difference)):
+                _assert_collected_has_no_zero(collected)
+            assert (not eng._collect(difference)) == want, (name, kind)
             labels = {t.label for _, _, t in lhs + rhs if t is not None}
             outcomes.add((kind, want, len(labels) > 1))
     assert {(0, True, True), (1, False, True), (2, True, True), (3, False, True)} <= outcomes
