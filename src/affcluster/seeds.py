@@ -5,10 +5,11 @@ exchange matrix proper and the remaining m rows the coefficient part.
 All indices in this module are 0-based; the CLI converts from 1-based.
 
 All arithmetic is integer: the skew-symmetrizer is decided by coroot_scalers
-and the g-vector search runs on integer G-matrices: it keys a seed on G
-alone, which determines the seed, and builds the seed's extended exchange
-matrix only when it expands that seed (ThetaEngine.theta_gfan turns a
-g-vector into its cluster variable).
+and the g-vector search runs on integer G-matrices: it keys a seed on the
+set of its g-vectors, which determines the seed up to relabeling, so it
+visits each seed of the exchange graph once whatever its labeling; it
+builds the seed's extended exchange matrix only when it expands that seed
+(ThetaEngine.theta_gfan turns a g-vector into its cluster variable).
 """
 
 from __future__ import annotations
@@ -336,27 +337,34 @@ def denominator_vector_of(p: LaurentPoly) -> RootVec:
 # -- g-vector search ---------------------------------------------------------
 
 def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
-    """BFS over the seeds of a principal extension, keyed on their G-matrices.
+    """BFS over the seeds of a principal extension up to relabeling, keyed on
+    the set of their g-vectors.
 
     Yields (g_column, mutation word, column index) for every cluster variable
-    encountered, initial ones first.  Integer matrices only; polynomials are
-    reconstructed by the caller when needed.
+    encountered, initial ones first: every g-vector within the depth, first
+    at its least depth.  Integer matrices only; polynomials are reconstructed
+    by the caller when needed.
 
-    The dedup key is G alone, the tuple of its columns (the g-vectors).  On
-    every reachable seed G determines B-tilde: tropical duality (Nakanishi-
+    On every reachable seed G determines B-tilde: tropical duality (Nakanishi-
     Zelevinsky) gives C_t from G_t, and G_t B_t = B_0 C_t (Fomin-Zelevinsky
-    IV, (6.14)) with G_t unimodular gives B_t.  So the key is one-to-one on
-    states, and the states, the words and the yield order are those of the
-    search keyed on (B-tilde, G).
+    IV, (6.14)) with G_t unimodular gives B_t.  Mutation commutes with
+    relabeling and the columns of G are distinct, so the set of G's columns
+    determines the state up to relabeling: a state whose column set was met
+    before is a relabeling of a kept state, and its subtree is the relabeled
+    subtree of that state.  Every path of the exchange graph lifts to a
+    labeled path, so skipping it loses no g-vector and no least depth; only
+    the words and the yield order differ from the search keyed on labeled
+    (B-tilde, G).  The key is an int bit mask over the g-vectors met so far,
+    each given its own bit when first met.
 
     A child's g-vector, g'_k = -g_k + sum_j [-eps_k b_jk]_+ g_j (the G-matrix
     recursion), needs only column k of its parent's B-tilde, so a candidate
     is looked up before anything is mutated.  A kept state is stored as (its
-    parent's B-tilde, k, G, word) and its own B-tilde is built only when the
-    state is expanded: states at the last depth, and those a lazy consumer
-    never reaches, are never mutated.  Mutating back at the last letter of
-    the word returns the parent, which is already seen, so that direction is
-    skipped.
+    parent's B-tilde, k, G, key, word) and its own B-tilde is built only when
+    the state is expanded: states at the last depth, and those a lazy
+    consumer never reaches, are never mutated.  Mutating back at the last
+    letter of the word returns the parent, which is already seen, so that
+    direction is skipped.
 
     B-tilde is stored transposed: n rows of length n+m, row k being column k
     of B-tilde, whose last m entries are the c-vector that gives the sign
@@ -367,13 +375,15 @@ def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     if matrix.bottom() != ident:
         raise ValueError("g-vector search requires principal coefficients")
-    seen = {ident}
-    frontier = [(tuple(zip(*matrix.rows)), None, ident, ())]
+    bit = {g: 1 << j for j, g in enumerate(ident)}
+    start = (1 << n) - 1
+    seen = {start}
+    frontier = [(tuple(zip(*matrix.rows)), None, ident, start, ())]
     for j in range(n):
         yield ident[j], (), j
     for _ in range(depth):
         new_frontier = []
-        for parent, last, g, word in frontier:
+        for parent, last, g, key, word in frontier:
             cols = parent if last is None else mutate_rows(parent, last)
             for k in range(n):
                 if k == last:
@@ -393,13 +403,13 @@ def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
                     if c > 0:
                         g_k = [x + c * y for x, y in zip(g_k, g[j])]
                 g_k = tuple(g_k)
-                g2 = g[:k] + (g_k,) + g[k + 1 :]
+                key2 = key ^ bit[g[k]] | bit.setdefault(g_k, 1 << len(bit))
                 size = len(seen)
-                seen.add(g2)
+                seen.add(key2)
                 if len(seen) == size:
                     continue
                 word2 = word + (k,)
-                new_frontier.append((cols, k, g2, word2))
+                new_frontier.append((cols, k, g[:k] + (g_k,) + g[k + 1 :], key2, word2))
                 yield g_k, word2, k
         frontier = new_frontier
         if not frontier:
