@@ -453,53 +453,58 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _common(p, order=False, depth=False) -> None:
-    p.add_argument("--matrix", required=True, help="path or bundled name: %s" % ",".join(BUNDLED))
-    p.add_argument("--format", choices=["json", "text"], default="text")
-    if order:
-        p.add_argument("--order", type=int, default=8)
-    if depth:
-        p.add_argument("--depth", type=int, default=8)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="affcluster",
+        description="Exact computations in cluster algebras of acyclic affine type.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
+    def common(p, order=False, depth=False):
+        p.add_argument("--matrix", required=True, help="path or bundled name: %s" % ",".join(BUNDLED))
+        p.add_argument("--format", choices=["json", "text"], default="text")
+        if order:
+            p.add_argument("--order", type=int, default=8)
+        if depth:
+            p.add_argument("--depth", type=int, default=8)
 
-def _mutate_arguments(p) -> None:
-    _common(p)
+    p = sub.add_parser("mutate", help="mutate an extended exchange matrix")
+    common(p)
     p.add_argument("--word", required=True, help="comma-separated 1-based indices")
 
-
-def _gvec_arguments(p) -> None:
-    _common(p)
+    p = sub.add_parser("gvec", help="g-vectors of the seed reached by a word")
+    common(p)
     p.add_argument("--word", default="", help="comma-separated 1-based indices")
 
+    p = sub.add_parser("tube-info", help="tubes, orbits and arc tables")
+    common(p)
 
-def _expand_arguments(p) -> None:
-    _common(p)
+    p = sub.add_parser("expand", help="compatible expansion of a root in the imaginary wall")
+    common(p)
     p.add_argument("--root", required=True, help="comma-separated root coordinates")
 
-
-def _theta_arguments(p) -> None:
-    _common(p, depth=True)
+    p = sub.add_parser("theta", help="theta function for a label in the imaginary wall")
+    common(p, depth=True)
     p.add_argument("--target", required=True, help='weight coordinates or "k*delta"')
 
-
-def _scatter2_arguments(p) -> None:
-    _common(p, order=True)
+    p = sub.add_parser("scatter2", help="rank-2 scattering diagram by consistency")
+    common(p, order=True)
     p.add_argument("--dump", default=None, help="write walls to this JSON file")
 
-
-def _theta2_arguments(p) -> None:
-    _common(p, order=True)
+    p = sub.add_parser("theta2", help="rank-2 theta function via broken lines")
+    common(p, order=True)
     p.add_argument("--lambda", dest="lam", required=True, help="weight coordinates a,b")
 
-
-def _gca_graph_arguments(p) -> None:
-    _common(p)
+    p = sub.add_parser("gca-graph", help="exchange graph of a tube's generalized seed")
+    common(p)
     p.add_argument("--tube", type=int, default=0)
     p.add_argument("--json", dest="json_out", default=None)
 
+    p = sub.add_parser("gca-verify", help="verify tube generalized cluster algebras")
+    common(p)
 
-def _verify_arguments(p) -> None:
-    _common(p, depth=True)
+    p = sub.add_parser("verify", help="verify theta-function identities")
+    common(p, depth=True)
     p.add_argument("--identity", default="all", help="|".join(IDENTITIES + ["all"]))
     p.add_argument(
         "--kmax", type=int, default=4,
@@ -508,48 +513,16 @@ def _verify_arguments(p) -> None:
         "but e6t runs for more than five minutes (about 4 s at 2)",
     )
 
+    p = sub.add_parser("report", help="full structural report for a matrix")
+    common(p)
 
-def subcommands():
-    """Every subcommand as (name, help, argument adder, handler), in the order
-    the help lists them.  Built on each call, so the parser binds the handler
-    the module holds when the parser is built."""
-    return (
-        ("mutate", "mutate an extended exchange matrix", _mutate_arguments, cmd_mutate),
-        ("gvec", "g-vectors of the seed reached by a word", _gvec_arguments, cmd_gvec),
-        ("tube-info", "tubes, orbits and arc tables", _common, cmd_tube_info),
-        ("expand", "compatible expansion of a root in the imaginary wall", _expand_arguments, cmd_expand),
-        ("theta", "theta function for a label in the imaginary wall", _theta_arguments, cmd_theta),
-        ("scatter2", "rank-2 scattering diagram by consistency", _scatter2_arguments, cmd_scatter2),
-        ("theta2", "rank-2 theta function via broken lines", _theta2_arguments, cmd_theta2),
-        ("gca-graph", "exchange graph of a tube's generalized seed", _gca_graph_arguments, cmd_gca_graph),
-        ("gca-verify", "verify tube generalized cluster algebras", _common, cmd_gca_verify),
-        ("verify", "verify theta-function identities", _verify_arguments, cmd_verify),
-        ("report", "full structural report for a matrix", _common, cmd_report),
-    )
-
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone when it names
-    one.  Building all eleven subparsers costs about six times as much as
-    building one, so main builds only the one it runs; the usage line names
-    every subcommand either way, so usage, help and error messages are those
-    of the full parser."""
-    parser = argparse.ArgumentParser(
-        prog="affcluster",
-        description="Exact computations in cluster algebras of acyclic affine type.",
-    )
-    entries = subcommands()
-    chosen = [entry for entry in entries if entry[0] == command]
-    # a one-entry parser names every choice in its usage line, as the full
-    # parser does; the full parser keeps no metavar, so that its error for a
-    # missing command still names the argument "command"
-    metavar = "{%s}" % ",".join(entry[0] for entry in entries) if chosen else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, add_arguments, handler in chosen or entries:
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=handler)
     return parser
+
+
+# main's parser, built on its first call and reused: a process running many
+# commands builds it once, and importing the module builds none.  A list, so
+# that filling it leaves the module's bindings as they were
+_PARSER: List[argparse.ArgumentParser] = []
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -557,10 +530,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     engine rejects (not acyclic or affine, targets it cannot reach or place);
     exit 1 for a failed identity.  Any other exception is an engine bug and
     propagates with its traceback."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    if not _PARSER:
+        _PARSER.append(build_parser())
+    args = _PARSER[0].parse_args(argv)
+    # the handler is looked up when it runs, so a replaced cmd_* is the one called
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

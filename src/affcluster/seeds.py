@@ -354,17 +354,16 @@ def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
     subtree of that state.  Every path of the exchange graph lifts to a
     labeled path, so skipping it loses no g-vector and no least depth; only
     the words and the yield order differ from the search keyed on labeled
-    (B-tilde, G).  The key is an int bit mask over the g-vectors met so far,
-    each given its own bit when first met.
+    (B-tilde, G).
 
     A child's g-vector, g'_k = -g_k + sum_j [-eps_k b_jk]_+ g_j (the G-matrix
     recursion), needs only column k of its parent's B-tilde, so a candidate
     is looked up before anything is mutated.  A kept state is stored as (its
-    parent's B-tilde, k, G, key, word) and its own B-tilde is built only when
-    the state is expanded: states at the last depth, and those a lazy
-    consumer never reaches, are never mutated.  Mutating back at the last
-    letter of the word returns the parent, which is already seen, so that
-    direction is skipped.
+    parent's B-tilde, k, G, word) and its own B-tilde is built only when the
+    state is expanded: states at the last depth, and those a lazy consumer
+    never reaches, are never mutated.  Mutating back at the last letter of
+    the word returns the parent, which is already seen, so that direction is
+    skipped.
 
     B-tilde is stored transposed: n rows of length n+m, row k being column k
     of B-tilde, whose last m entries are the c-vector that gives the sign
@@ -375,15 +374,13 @@ def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     if matrix.bottom() != ident:
         raise ValueError("g-vector search requires principal coefficients")
-    bit = {g: 1 << j for j, g in enumerate(ident)}
-    start = (1 << n) - 1
-    seen = {start}
-    frontier = [(tuple(zip(*matrix.rows)), None, ident, start, ())]
+    seen = {frozenset(ident)}
+    frontier = [(tuple(zip(*matrix.rows)), None, ident, ())]
     for j in range(n):
         yield ident[j], (), j
     for _ in range(depth):
         new_frontier = []
-        for parent, last, g, key, word in frontier:
+        for parent, last, g, word in frontier:
             cols = parent if last is None else mutate_rows(parent, last)
             for k in range(n):
                 if k == last:
@@ -403,13 +400,13 @@ def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
                     if c > 0:
                         g_k = [x + c * y for x, y in zip(g_k, g[j])]
                 g_k = tuple(g_k)
-                key2 = key ^ bit[g[k]] | bit.setdefault(g_k, 1 << len(bit))
+                g2 = g[:k] + (g_k,) + g[k + 1 :]
                 size = len(seen)
-                seen.add(key2)
+                seen.add(frozenset(g2))
                 if len(seen) == size:
                     continue
                 word2 = word + (k,)
-                new_frontier.append((cols, k, g[:k] + (g_k,) + g[k + 1 :], key2, word2))
+                new_frontier.append((cols, k, g2, word2))
                 yield g_k, word2, k
         frontier = new_frontier
         if not frontier:

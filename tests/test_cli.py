@@ -243,80 +243,3 @@ def test_expand_outside_wall_exits_2(capsys):
 def test_verify_kmax_option(capsys):
     code, out = run(capsys, "verify", "--identity", "cheby", "--matrix", "a2t", "--kmax", "2")
     assert code == 0 and "cheby: ok" in out
-
-
-# representative arguments of every subcommand, every option given somewhere
-SUBCOMMAND_ARGS = {
-    "mutate": ["--matrix", "a2t", "--word", "1,2", "--format", "json"],
-    "gvec": ["--matrix", "a2t"],
-    "tube-info": ["--matrix", "d4t", "--format", "json"],
-    "expand": ["--matrix", "a3t", "--root", "1,1,1,1"],
-    "theta": ["--matrix", "a2t", "--target", "2*delta", "--depth", "5"],
-    "scatter2": ["--matrix", "a1t22", "--order", "3", "--dump", "walls.json"],
-    "theta2": ["--matrix", "a1t14", "--lambda", "1,-1"],
-    "gca-graph": ["--matrix", "a3t", "--tube", "1", "--json", "graph.json"],
-    "gca-verify": ["--matrix", "e6t"],
-    "verify": ["--matrix", "d4t", "--identity", "cheby", "--kmax", "3", "--depth", "6"],
-    "report": ["--matrix", "c2t", "--format", "text"],
-}
-
-
-def _parse(parser, argv, capsys):
-    """(Namespace or None, exit code or None, stdout, stderr) of one parse."""
-    try:
-        namespace, code = parser.parse_args(argv), None
-    except SystemExit as exc:
-        namespace, code = None, exc.code
-    captured = capsys.readouterr()
-    return namespace, code, captured.out, captured.err
-
-
-@pytest.mark.parametrize("entry", cli.subcommands(), ids=lambda entry: entry[0])
-def test_one_subcommand_parser_matches_the_full_parser(capsys, entry):
-    """main builds only the invoked subcommand's parser: it parses, helps and
-    rejects exactly as the parser of every subcommand does."""
-    name, _, _, handler = entry
-    args = SUBCOMMAND_ARGS[name]
-    for argv in (
-        [name, *args],
-        [name, "--help"],
-        [name],
-        [name, *args, "--bogus"],
-        [name, *args, "extra"],
-        [name, *args, "--format", "yaml"],
-    ):
-        one = _parse(cli.build_parser(name), argv, capsys)
-        assert one == _parse(cli.build_parser(), argv, capsys), argv
-    namespace = cli.build_parser(name).parse_args([name, *args])
-    assert namespace.command == name and namespace.func is handler
-
-
-def test_usage_help_and_unknown_command(capsys, monkeypatch):
-    """No command, --help and an unknown command build every subparser."""
-    names = [entry[0] for entry in cli.subcommands()]
-    assert names == list(SUBCOMMAND_ARGS)
-    printed = {}
-    for argv in ([], ["--help"], ["bogus"], ["--format", "json", "report"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        out, err = capsys.readouterr()
-        # argparse wraps the usage line at the terminal width
-        printed[tuple(argv)] = exc.value.code, " ".join((out + err).split())
-    usage = "usage: affcluster [-h] {%s} ..." % ",".join(names)
-    assert all(text.startswith(usage) for _, text in printed.values())
-    code, text = printed[()]
-    assert code == 2 and text.endswith("error: the following arguments are required: command")
-    code, text = printed[("bogus",)]
-    assert code == 2 and "error: argument command: invalid choice: 'bogus'" in text
-    code, text = printed[("--format", "json", "report")]
-    assert code == 2 and "error: argument command: invalid choice: 'json'" in text
-    code, text = printed[("--help",)]
-    assert code == 0
-    for name, help_text, _, _ in cli.subcommands():
-        assert f" {name} {help_text} " in text
-    # argv=None reads the command line
-    monkeypatch.setattr("sys.argv", ["affcluster", "report", "--help"])
-    with pytest.raises(SystemExit) as exc:
-        main()
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: affcluster report [-h] --matrix MATRIX")
