@@ -133,23 +133,29 @@ _RANK2_DELTA_TABLE = {
 # Peels expand_product may make, each of one label, before it gives up.
 PEEL_BUDGET = 64
 
+# Mutation depth of the g-vector search.  The search is lazy and stops at its
+# target, so the bound costs one full search only on a miss.  Every tube root
+# of the bundled fixtures and of B3, D5, E7, E8, F4 and G2 lies within it;
+# E8^(1)'s deepest needs all 12.
+SEARCH_DEPTH = 12
+
 
 class ThetaEngine:
     """Theta-function calculator for one acyclic affine exchange matrix.
 
     Holds the affine data, the detected tubes, the principal-coefficient seed
-    machinery and the store of imaginary-wall thetas by label."""
+    machinery and the store of imaginary-wall thetas by label.  It has no
+    settings: the g-vector search runs to SEARCH_DEPTH."""
 
-    def __init__(self, b_rows, depth: int = 8) -> None:
+    def __init__(self, b_rows) -> None:
         self.data: AffineData = affine.build_affine_data(b_rows)
         self.tubes: List[Tube] = affine.detect_tubes(self.data)
         self.n = self.data.n
         self.nu_delta: WeightVec = self.data.nu_c(self.data.delta)
-        self.depth = depth
         self.matrix: ExtendedExchangeMatrix = principal_extension(self.data.b)
         self.ctx: VarContext = default_context(self.n, self.n)
         self.grading = Grading(self.ctx, self.data.b)
-        self._frontier = enumerate_gvector_frontier(self.matrix, depth)
+        self._frontier = enumerate_gvector_frontier(self.matrix, SEARCH_DEPTH)
         self._gvec_index: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
         self._seed_cache: Dict[Tuple[int, ...], Seed] = {(): initial_seed(self.matrix, self.ctx)}
         zero = (0,) * self.n
@@ -261,7 +267,8 @@ class ThetaEngine:
     def theta_gfan(self, label: WeightVec) -> ThetaFunction:
         """The cluster variable with the given g-vector (ray of the g-fan): the
         lazy search finds a word, the cached seeds replay it and the variable
-        must be pointed at the label.  NotFound past the search depth."""
+        must be pointed at the label.  NotFound if no seed within SEARCH_DEPTH
+        mutations has it, as for the imaginary ray, which is no g-vector."""
         key = label.coords
         if key not in self._gvec_index:
             for g_col, word, col in self._frontier:
@@ -269,7 +276,7 @@ class ThetaEngine:
                 if g_col == key:
                     break
             else:
-                raise NotFound(self.depth)
+                raise NotFound(SEARCH_DEPTH)
         word, col = self._gvec_index[key]
         var = self._seed_for_word(word).cluster[col]
         return ThetaFunction(label, self.assert_pointed(var, label), self.grading)

@@ -9,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from affcluster import cli
+from affcluster import cli, theta
 from affcluster.affine import (
     HeightBoundTooSmall,
     NegativeInput,
@@ -410,31 +410,43 @@ def _matrix_file(tmp_path, name):
     return path
 
 
-# E7 and E8 are left out: the depth-8 g-vector search misses tube-root
-# g-vectors on both, so gca-verify and verify exit 2 with NotFound.
-@pytest.mark.parametrize("name", ["B3", "D5", "F4", "G2"])
+# The CLI commands each type runs.  The tube roots of E7 and E8 lie deepest
+# (depth 9 and 12, within theta.SEARCH_DEPTH).  verify --kmax 2 stays off
+# both, because E7's cheby family alone takes about a minute, and gca-verify
+# stays off E8 (about 18 s).
+_VERIFY = ["verify", "--kmax", "2"]
+_TYPE_COMMANDS = {
+    "E7": [["report"], ["gca-verify"], ["theta", "--target", "delta"]],
+    "E8": [["report"]],
+}
+
+
+@pytest.mark.parametrize("name", ["B3", "D5", "F4", "G2", "E7", "E8"])
 def test_cli_on_affine_types_beyond_the_fixtures(name, tmp_path, capsys):
     path = _matrix_file(tmp_path, name)
-    assert cli.main(["report", "--matrix", str(path)]) == 0
-    assert cli.main(["gca-verify", "--matrix", str(path)]) == 0
-    capsys.readouterr()
-    assert cli.main(["verify", "--matrix", str(path), "--kmax", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"{family}: ok" for family in sorted(cli.IDENTITIES)]
+    for argv in _TYPE_COMMANDS.get(name, [["report"], ["gca-verify"], _VERIFY]):
+        assert cli.main([*argv, "--matrix", str(path)]) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == ""
+        if argv is _VERIFY:
+            assert out.splitlines() == [f"{family}: ok" for family in sorted(cli.IDENTITIES)]
 
 
 # On D5 at depth 5 theta_delta is reachable (its tube roots need depth 4), so
 # `cheby` would pass before a family reached the deepest tube root (depth 6);
-# on E7 the depth-8 search misses two tube roots, which `cheby` never needs.
-@pytest.mark.parametrize("name, depth", [("D5", "5"), ("E7", "8")])
-def test_verify_fails_before_any_family_on_an_unreachable_tube_root(name, depth, tmp_path, capsys):
+# on E7 a depth-8 search misses two tube roots, which `cheby` never needs.
+@pytest.mark.parametrize("name, depth", [("D5", 5), ("E7", 8)])
+def test_verify_fails_before_any_family_on_an_unreachable_tube_root(
+    name, depth, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(theta, "SEARCH_DEPTH", depth)
     path = _matrix_file(tmp_path, name)
-    assert cli.main(["verify", "--matrix", str(path), "--depth", depth, "--kmax", "2"]) == 2
+    assert cli.main(["verify", "--matrix", str(path), "--kmax", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"configuration error: no cluster variable with the target g-vector within depth {depth}\n"
     # a bad --kmax is still refused first, before the tube roots are searched
-    assert cli.main(["verify", "--matrix", str(path), "--depth", depth, "--kmax", "1"]) == 2
+    assert cli.main(["verify", "--matrix", str(path), "--kmax", "1"]) == 2
     assert capsys.readouterr().err == "configuration error: kmax must be at least 2 to check an identity, got 1\n"
 
 

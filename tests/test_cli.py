@@ -7,6 +7,7 @@ import pytest
 from affcluster import cli
 from affcluster.cli import main
 from affcluster.poly import NotPointed
+from affcluster.theta import ThetaEngine
 
 
 def run(capsys, *argv):
@@ -78,6 +79,36 @@ def test_tube_info_has_no_height_bound():
     with pytest.raises(SystemExit) as exc:
         main(["tube-info", "--matrix", "a2t", "--height-bound", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta", "--matrix", "d4t", "--target", "delta", "--depth", "8"),
+        ("verify", "--matrix", "a2t", "--depth", "8"),
+    ],
+)
+def test_theta_and_verify_have_no_depth_flag(argv):
+    # the g-vector search depth is the constant theta.SEARCH_DEPTH
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+def test_verify_refuses_an_unknown_identity_before_any_engine(monkeypatch, capsys):
+    def no_engine(self, b_rows):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(ThetaEngine, "__init__", no_engine)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--matrix", "e6t", "--identity", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_run_identity_refuses_an_unknown_identity():
+    with pytest.raises(cli.ConfigError, match="unknown identity bogus"):
+        cli.run_identity(ThetaEngine(cli.load_matrix("a2t").top()), "bogus")
 
 
 def test_report_a1t_deterministic(capsys):
@@ -208,8 +239,6 @@ def test_non_affine_matrix_exits_2(tmp_path, capsys):
         ("verify", "--matrix", "a2t", "--kmax", "-3"),
         ("scatter2", "--matrix", "a1t22", "--order", "-1"),
         ("theta2", "--matrix", "a1t22", "--lambda", "1,1", "--order", "-1"),
-        ("theta", "--matrix", "d4t", "--target", "delta", "--depth", "-1"),
-        ("verify", "--matrix", "a2t", "--depth", "-1"),
         ("scatter2", "--matrix", "a1t22", "--order", "2", "--dump", "/nonexistent/x.json"),
         ("gca-graph", "--matrix", "a3t", "--json", "/nonexistent/x.json"),
     ],

@@ -217,7 +217,6 @@ def test_t_o_check_all_fixtures():
             seed, labels = build_tube_seed(eng.tubes, jset)
             graph = enumerate_exchange_graph(eng.tubes, seed, labels)
             assert t_o_check(eng, eng.tubes, graph) > 0
-            assert t_o_check(eng, eng.tubes, graph, coefficient_free=True) > 0
 
 
 def test_build_rejects_non_maximal():
@@ -269,8 +268,7 @@ def test_t_o_image_is_a_pointed_term():
 
 
 def test_t_o_check_rejects_a_wrong_image(monkeypatch):
-    # doubling every coefficient image breaks each relation, with and
-    # without coefficients
+    # doubling every coefficient image breaks each relation
     from affcluster import gca
 
     eng = ThetaEngine(B_A3T)
@@ -278,9 +276,8 @@ def test_t_o_check_rejects_a_wrong_image(monkeypatch):
     graph = enumerate_exchange_graph(eng.tubes, *build_tube_seed(eng.tubes, jset))
     image = gca.t_o_image
     monkeypatch.setattr(gca, "t_o_image", lambda e, m: (2, *image(e, m)[1:]))
-    for coefficient_free in (False, True):
-        with pytest.raises(IdentityViolated):
-            t_o_check(eng, eng.tubes, graph, coefficient_free=coefficient_free)
+    with pytest.raises(IdentityViolated):
+        t_o_check(eng, eng.tubes, graph)
 
 
 B_D4T = (
@@ -304,7 +301,6 @@ def test_three_tube_star_block_seed():
     graph = enumerate_exchange_graph(eng.tubes, seed, labels)
     assert len(graph.vertices) == 8
     assert t_o_check(eng, eng.tubes, graph) == 3
-    assert t_o_check(eng, eng.tubes, graph, coefficient_free=True) == 3
 
 
 def test_three_tube_exchange_identities():

@@ -353,7 +353,7 @@ def test_theta_gfan_finds_cluster_variable_by_gvector():
 def test_theta_gfan_not_found_on_imaginary_ray():
     # nu_c(delta) = (-1, 1) spans the one ray that is not in the g-vector fan
     with pytest.raises(NotFound):
-        ThetaEngine(B_KRON, depth=7).theta_gfan(WeightVec((-1, 1)))
+        ThetaEngine(B_KRON).theta_gfan(WeightVec((-1, 1)))
 
 
 def test_gmatrix_recursion_matches_pointed_form():
