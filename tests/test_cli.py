@@ -239,6 +239,8 @@ def test_non_affine_matrix_exits_2(tmp_path, capsys):
         ("verify", "--matrix", "a2t", "--kmax", "-3"),
         ("scatter2", "--matrix", "a1t22", "--order", "-1"),
         ("theta2", "--matrix", "a1t22", "--lambda", "1,1", "--order", "-1"),
+        ("gvec", "--matrix", "a2t", "--word", "0"),
+        ("scatter2", "--matrix", "a2t", "--order", "2"),
         ("scatter2", "--matrix", "a1t22", "--order", "2", "--dump", "/nonexistent/x.json"),
         ("gca-graph", "--matrix", "a3t", "--json", "/nonexistent/x.json"),
     ],
