@@ -1,6 +1,11 @@
 """Affine root-system layer: Cartan matrix, delta, bilinear forms, Coxeter
 action, tube detection, arc combinatorics and the nu_c map.
 
+Arc i of a size-k tube is TubeRoot(tube, i % k, i // k + 1), the all_arcs
+order, and an arc set is an int bitset over arc numbers.  Per tube size one
+table, built on first use, holds each arc's support as a k-bit mask and the
+bitset of the arcs compatible with it; the arc helpers are bit operations.
+
 Roots are integer vectors in the simple-root basis (RootVec), weights in the
 fundamental-weight basis (WeightVec).  All arithmetic is exact.  Set-up and
 the imaginary-wall solve run on integers: the one elimination routine, _rref,
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .seeds import (
     CorootVec,
@@ -44,13 +49,14 @@ class HeightBoundTooSmall(RuntimeError):
 
 
 class SimplesMismatch(RuntimeError):
-    """Finite Coxeter orbits exist but none sums to delta.
+    """The tubes found are not all the tubes.
 
     The engine identifies the tube simples by the orbit-sum-equals-delta
-    criterion.  On some twisted affine Cartan types the finite orbits of
-    positive real roots sum to a proper multiple of delta instead; that is a
-    genuine divergence from the span-minimality definition and is reported
-    loudly rather than resolved silently."""
+    criterion.  On some twisted affine Cartan types, and on the transposes
+    -B^T of some types, finite orbits of positive real roots sum to a proper
+    multiple of delta instead.  So the tube sizes r_i are certified against
+    sum(r_i - 1) = n - 2 (Dlab-Ringel), and a tube that the criterion misses
+    is reported loudly rather than dropped silently."""
 
 
 class NotInImaginaryWall(ValueError):
@@ -373,7 +379,7 @@ class TubeRoot:
 def detect_tubes(data: AffineData) -> List[Tube]:
     """Find the tube-simples orbits: finite c-orbits of positive real roots
     of height at most 4 ht(delta) summing to delta.  Returns 0 to 3 tubes,
-    each of size >= 2."""
+    each of size >= 2, whose sizes r_i satisfy sum(r_i - 1) = n - 2."""
     max_height = 4 * data.delta.height()
     n = data.n
     # lcm(e) * omega_c(delta, .) as an integer row vector
@@ -417,13 +423,14 @@ def detect_tubes(data: AffineData) -> List[Tube]:
         base = min(range(len(orbit)), key=lambda i: orbit[i].coords)
         cyc = tuple(orbit[(base + i) % len(orbit)] for i in range(len(orbit)))
         tubes.append(Tube(index=0, orbit=cyc))
-    if orbits and not tubes:
-        raise SimplesMismatch(
-            "finite Coxeter orbits found, but none sums to delta; "
-            "the tube-simples criterion does not apply to this matrix"
-        )
     tubes.sort(key=lambda t: (t.size, t.orbit[0].coords))
     tubes = [Tube(index=i, orbit=t.orbit) for i, t in enumerate(tubes)]
+    sizes = [t.size for t in tubes]
+    if sum(sizes) - len(sizes) != n - 2:
+        raise SimplesMismatch(
+            f"tube sizes {sizes} do not satisfy sum(r_i - 1) = n - 2 = {n - 2}; "
+            "the orbit-sum criterion missed a tube"
+        )
     if len(tubes) > 3:
         raise AssertionError("more than three tube orbits found")
     if any(t.size < 2 for t in tubes):
@@ -433,39 +440,69 @@ def detect_tubes(data: AffineData) -> List[Tube]:
 
 # -- arcs ---------------------------------------------------------------------
 
+_ARC_TABLES: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+
+
+def _arc_table(k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(masks, compat) for tubes of size k: each arc's support as a k-bit
+    mask, and per arc the bitset of the arcs compatible with it.  Two arcs
+    are compatible when one support contains the other (nested), or when
+    one support misses the other grown by a position on each side (spaced)."""
+    table = _ARC_TABLES.get(k)
+    if table is None:
+        masks = tuple(sum(1 << (s + t) % k for t in range(l)) for l in range(1, k) for s in range(k))
+        # each support grown by a position on each side, bits past k - 1 kept
+        # because every other support clears them
+        grown = [m | m << 1 | m >> 1 | m << (k - 1) | m >> (k - 1) for m in masks]
+        compat = tuple(
+            sum(1 << j for j, b in enumerate(masks) if a & b in (a, b) or not g & b)
+            for a, g in zip(masks, grown)
+        )
+        table = _ARC_TABLES[k] = (masks, compat)
+    return table
+
+
+def _members(bits: int) -> Iterator[int]:
+    """The positions of the set bits, in increasing order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _arc_number(tube: Tube, r: TubeRoot) -> int:
+    k = tube.size
+    if r.tube != tube.index:
+        raise NotMember("arc belongs to a different tube")
+    if not (0 <= r.start < k and 1 <= r.length < k):
+        raise NotMember(f"arc {r} is out of range in a tube of size {k}")
+    return (r.length - 1) * k + r.start
+
+
+def _arc(tube: Tube, i: int) -> TubeRoot:
+    return TubeRoot(tube.index, i % tube.size, i // tube.size + 1)
+
+
+def _in(tube: Tube, js: int, r: TubeRoot) -> bool:
+    return bool(js >> _arc_number(tube, r) & 1)
+
+
 def all_arcs(tube: Tube) -> List[TubeRoot]:
-    return [
-        TubeRoot(tube.index, s, l)
-        for l in range(1, tube.size)
-        for s in range(tube.size)
-    ]
+    return [_arc(tube, i) for i in range(tube.size * (tube.size - 1))]
 
 
 def arc_support(tube: Tube, r: TubeRoot) -> FrozenSet[int]:
-    if r.tube != tube.index:
-        raise NotMember("arc belongs to a different tube")
-    return frozenset((r.start + i) % tube.size for i in range(r.length))
+    return frozenset(_members(_arc_table(tube.size)[0][_arc_number(tube, r)]))
 
 
 def tube_root_vector(tube: Tube, r: TubeRoot) -> RootVec:
-    if r.tube != tube.index:
-        raise NotMember("arc belongs to a different tube")
-    if not 1 <= r.length < tube.size:
-        raise NotMember("arc length out of range")
-    total = tube.orbit[r.start % tube.size]
-    for i in range(1, r.length):
-        total = total + tube.orbit[(r.start + i) % tube.size]
-    return total
+    first, *rest = (tube.orbit[t] for t in arc_support(tube, r))
+    return sum(rest, first)
 
 
 def same_tube_compatible(tube: Tube, r1: TubeRoot, r2: TubeRoot) -> bool:
-    k = tube.size
-    s1 = arc_support(tube, r1)
-    s2 = arc_support(tube, r2)
-    if s1 <= s2 or s2 <= s1:
-        return True
-    grown = s1 | {(i + 1) % k for i in s1} | {(i - 1) % k for i in s1}
-    return not (grown & s2)
+    compat = _arc_table(tube.size)[1]
+    return bool(compat[_arc_number(tube, r1)] >> _arc_number(tube, r2) & 1)
 
 
 def compatible(tubes: Sequence[Tube], r1: TubeRoot, r2: TubeRoot) -> bool:
@@ -475,95 +512,90 @@ def compatible(tubes: Sequence[Tube], r1: TubeRoot, r2: TubeRoot) -> bool:
     return same_tube_compatible(tubes[r1.tube], r1, r2)
 
 
-def maximal_compatible_sets(tube: Tube) -> List[FrozenSet[TubeRoot]]:
-    """Brute-force enumeration of all maximal pairwise compatible arc sets."""
-    arcs = all_arcs(tube)
-    k = tube.size
-    out = []
-    for combo in itertools.combinations(arcs, k - 1):
-        ok = all(
-            same_tube_compatible(tube, a, b)
-            for a, b in itertools.combinations(combo, 2)
-        )
-        if ok:
-            out.append(frozenset(combo))
-    return sorted(out, key=lambda s: sorted((r.start, r.length) for r in s))
-
-
-def check_maximal(tube: Tube, j: Iterable[TubeRoot]) -> Tuple[TubeRoot, ...]:
-    js = tuple(sorted(set(j)))
-    if len(js) != tube.size - 1:
-        raise NotMaximal(f"expected {tube.size - 1} arcs, got {len(js)}")
-    for a, b in itertools.combinations(js, 2):
-        if not same_tube_compatible(tube, a, b):
+def check_maximal(tube: Tube, j: Iterable[TubeRoot]) -> int:
+    """The bitset of the arc set j, checked to be maximal compatible: k - 1
+    arcs, each compatible with all the others.  The helpers below take this
+    checked bitset and do not check it again."""
+    compat = _arc_table(tube.size)[1]
+    js = 0
+    for r in j:
+        js |= 1 << _arc_number(tube, r)
+    if js.bit_count() != tube.size - 1:
+        raise NotMaximal(f"expected {tube.size - 1} arcs, got {js.bit_count()}")
+    for i in _members(js):
+        clash = js & ~compat[i]
+        if clash:
+            a, b = sorted((_arc(tube, i), _arc(tube, next(_members(clash)))))
             raise NotMaximal(f"arcs {a} and {b} are not compatible")
     return js
 
 
-def exchange_partner(tube: Tube, j: Iterable[TubeRoot], gamma: TubeRoot) -> TubeRoot:
-    """The unique arc gamma' != gamma with (J - gamma) + gamma' maximal."""
-    js = check_maximal(tube, j)
-    if gamma not in js:
+def exchange_partner(tube: Tube, js: int, gamma: TubeRoot) -> TubeRoot:
+    """The unique arc gamma' != gamma with (J - gamma) + gamma' maximal: the
+    one arc outside J compatible with every arc of J - gamma."""
+    if not _in(tube, js, gamma):
         raise NotMember("gamma is not in J")
-    rest = [r for r in js if r != gamma]
-    candidates = []
-    for cand in all_arcs(tube):
-        if cand == gamma or cand in rest:
-            continue
-        if all(same_tube_compatible(tube, cand, r) for r in rest):
-            candidates.append(cand)
-    if len(candidates) != 1:
-        raise AssertionError(f"expected a unique exchange partner, found {candidates}")
-    return candidates[0]
+    compat = _arc_table(tube.size)[1]
+    left = (1 << len(compat)) - 1
+    for j in _members(js ^ 1 << _arc_number(tube, gamma)):
+        left &= compat[j]
+    left &= ~js
+    if not left or left & (left - 1):
+        found = [_arc(tube, j) for j in _members(left)]
+        raise AssertionError(f"expected a unique exchange partner, found {found}")
+    return _arc(tube, left.bit_length() - 1)
 
 
-def maximal_root(tube: Tube, j: Iterable[TubeRoot]) -> TubeRoot:
-    js = check_maximal(tube, j)
-    big = [r for r in js if r.length == tube.size - 1]
-    if len(big) != 1:
-        raise AssertionError("maximal compatible set without a unique maximal root")
-    return big[0]
+def fan(tube: Tube) -> List[TubeRoot]:
+    """The maximal compatible set of the arcs that start at position 0; it
+    is the least one in the order of maximal_compatible_sets."""
+    return [TubeRoot(tube.index, 0, l) for l in range(1, tube.size)]
 
 
-def next_larger(tube: Tube, j: Iterable[TubeRoot], gamma: TubeRoot) -> Optional[TubeRoot]:
-    js = check_maximal(tube, j)
-    sg = arc_support(tube, gamma)
-    ups = [r for r in js if sg < arc_support(tube, r)]
+def maximal_compatible_sets(tube: Tube) -> List[FrozenSet[TubeRoot]]:
+    """All maximal compatible arc sets, binom(2k - 2, k - 1) of them in a
+    tube of size k (the clusters of type C_{k-1}), found by flips from the
+    fan: the flip graph is connected."""
+    start = check_maximal(tube, fan(tube))
+    seen = {start}
+    todo = [start]
+    while todo:
+        js = todo.pop()
+        for i in _members(js):
+            partner = exchange_partner(tube, js, _arc(tube, i))
+            flipped = js ^ 1 << i | 1 << _arc_number(tube, partner)
+            if flipped not in seen:
+                seen.add(flipped)
+                todo.append(flipped)
+    sets = [frozenset(_arc(tube, i) for i in _members(js)) for js in seen]
+    return sorted(sets, key=lambda s: sorted((r.start, r.length) for r in s))
+
+
+def next_larger(tube: Tube, js: int, gamma: TubeRoot) -> Optional[TubeRoot]:
+    masks = _arc_table(tube.size)[0]
+    g = _arc_number(tube, gamma)
+    ups = [i for i in _members(js) if i != g and masks[i] & masks[g] == masks[g]]
     if not ups:
         return None
-    best = min(ups, key=lambda r: r.length)
-    assert sum(1 for r in ups if r.length == best.length) == 1
-    return best
+    # arc numbers grow with length, so ups[0] is a shortest one
+    assert sum(1 for i in ups if i // tube.size == ups[0] // tube.size) == 1
+    return _arc(tube, ups[0])
 
 
-def next_smaller(tube: Tube, j: Iterable[TubeRoot], gamma: TubeRoot) -> List[TubeRoot]:
-    js = check_maximal(tube, j)
-    sg = arc_support(tube, gamma)
-    downs = [r for r in js if arc_support(tube, r) < sg]
-    maxima = [
-        r
-        for r in downs
-        if not any(arc_support(tube, r) < arc_support(tube, q) for q in downs)
-    ]
-    return sorted(maxima)
-
-
-def private_element(tube: Tube, j: Iterable[TubeRoot], gamma: TubeRoot) -> int:
+def private_element(tube: Tube, js: int, gamma: TubeRoot) -> int:
     """The unique orbit index in Supp(gamma) not covered by any other root
     of J whose support does not contain Supp(gamma)."""
-    js = check_maximal(tube, j)
-    sg = arc_support(tube, gamma)
-    covered: Set[int] = set()
-    for r in js:
-        if r == gamma:
-            continue
-        sr = arc_support(tube, r)
-        if not (sr >= sg):
-            covered |= sr
-    left = sorted(sg - covered)
-    if len(left) != 1:
-        raise AssertionError(f"private element not unique: {left}")
-    return left[0]
+    masks = _arc_table(tube.size)[0]
+    g = _arc_number(tube, gamma)
+    sg = masks[g]
+    covered = 0
+    for i in _members(js):
+        if i != g and masks[i] & sg != sg:
+            covered |= masks[i]
+    left = sg & ~covered
+    if not left or left & (left - 1):
+        raise AssertionError(f"private element not unique: {list(_members(left))}")
+    return left.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -578,10 +610,9 @@ class MaxRootData:
     phi_prime: Optional[TubeRoot]
 
 
-def max_root_data(tube: Tube, j: Iterable[TubeRoot], gamma: TubeRoot) -> MaxRootData:
-    js = check_maximal(tube, j)
+def max_root_data(tube: Tube, js: int, gamma: TubeRoot) -> MaxRootData:
     k = tube.size
-    if gamma not in js or gamma.length != k - 1:
+    if gamma.length != k - 1 or not _in(tube, js, gamma):
         raise NotMember("gamma is not the maximal root of J")
     beta_idx = (gamma.start - 1) % k
     beta_prime_idx = private_element(tube, js, gamma)
@@ -593,7 +624,7 @@ def max_root_data(tube: Tube, j: Iterable[TubeRoot], gamma: TubeRoot) -> MaxRoot
         else None
     )
     for piece in (phi, phi_prime):
-        if piece is not None and piece not in js:
+        if piece is not None and not _in(tube, js, piece):
             raise AssertionError(f"next-smaller piece {piece} missing from J")
     return MaxRootData(beta_idx, beta_prime_idx, phi, phi_prime)
 
@@ -614,8 +645,7 @@ class NonMaxRootData:
     gamma_owns_beta: bool  # gamma's private element is beta (not beta_prime)
 
 
-def nonmax_root_data(tube: Tube, j: Iterable[TubeRoot], gamma: TubeRoot) -> NonMaxRootData:
-    js = check_maximal(tube, j)
+def nonmax_root_data(tube: Tube, js: int, gamma: TubeRoot) -> NonMaxRootData:
     k = tube.size
     phi = next_larger(tube, js, gamma)
     if phi is None:
@@ -638,15 +668,10 @@ def nonmax_root_data(tube: Tube, j: Iterable[TubeRoot], gamma: TubeRoot) -> NonM
     phi2 = run(p_beta + 1, p_prime)
     phi3 = run(p_prime + 1, phi.length)
     for piece in (phi1, phi2, phi3):
-        if piece is not None and piece not in js:
+        if piece is not None and not _in(tube, js, piece):
             raise AssertionError(f"piece {piece} missing from J")
     owns_beta = b_gamma == beta_idx
-    expected_support = (
-        {(phi.start + t) % k for t in range(0, p_prime)}
-        if owns_beta
-        else {(phi.start + t) % k for t in range(p_beta + 1, phi.length)}
-    )
-    if arc_support(tube, gamma) != expected_support:
+    if gamma != (run(0, p_prime) if owns_beta else run(p_beta + 1, phi.length)):
         raise AssertionError("gamma does not match its pieces (orientation bug)")
     return NonMaxRootData(phi, beta_idx, beta_prime_idx, phi1, phi2, phi3, owns_beta)
 

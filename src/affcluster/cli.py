@@ -27,6 +27,7 @@ from .affine import (
     Tube,
     all_arcs,
     cluster_expansion_imaginary,
+    fan,
     maximal_compatible_sets,
     tube_root_vector,
 )
@@ -265,9 +266,8 @@ def cmd_theta2(args) -> int:
 
 
 def _tube_graph(eng: ThetaEngine, tube: Tube) -> gca.ExchangeGraph:
-    """Exchange graph from the tube's least maximal compatible set."""
-    j0 = min(maximal_compatible_sets(tube), key=lambda s: sorted(s))
-    seed, labels = gca.build_tube_seed(eng.tubes, j0)
+    """Exchange graph from the tube's least maximal compatible set, its fan."""
+    seed, labels = gca.build_tube_seed(eng.tubes, fan(tube))
     return gca.enumerate_exchange_graph(eng.tubes, seed, labels)
 
 

@@ -156,13 +156,13 @@ class GCASeed:
 
 
 def _column_entries(
-    tube: Tube, labels: Sequence[TubeRoot], gamma: TubeRoot
+    tube: Tube, js: int, gamma: TubeRoot
 ) -> Tuple[Dict[TubeRoot, int], Tuple[TropMonomial, ...], int]:
-    """Column of B indexed by gamma, its coefficient tuple, and its degree."""
-    j_set = [r for r in labels if r.tube == tube.index]
+    """Column of B indexed by gamma, its coefficient tuple, and its degree;
+    js is gamma's tube part of the labels, checked by check_maximal."""
     k = tube.size
     if gamma.length == k - 1:
-        info = max_root_data(tube, j_set, gamma)
+        info = max_root_data(tube, js, gamma)
         col: Dict[TubeRoot, int] = {}
         if info.phi is not None:
             col[info.phi] = 2
@@ -174,7 +174,7 @@ def _column_entries(
             z_of_arc(tube, info.phi) * z_single(tube, info.beta_prime_idx),
         )
         return col, p, 2
-    info2 = nonmax_root_data(tube, j_set, gamma)
+    info2 = nonmax_root_data(tube, js, gamma)
     coeff = z_of_arc(tube, info2.phi2) * z_single(tube, info2.beta_prime_idx)
     col = {}
     sign = -1 if info2.gamma_owns_beta else 1
@@ -204,8 +204,7 @@ def build_tube_seed(
     for r in ordered:
         by_tube.setdefault(r.tube, []).append(r)
     used_tubes = [t for t in tubes if t.index in by_tube]
-    for t in used_tubes:
-        check_maximal(t, by_tube[t.index])
+    checked = {t.index: check_maximal(t, by_tube[t.index]) for t in used_tubes}
     if gctx is None:
         gctx = gca_context(used_tubes, len(ordered))
     x = tuple(LaurentPoly.var(gctx.ctx, i) for i in range(len(ordered)))
@@ -214,7 +213,7 @@ def build_tube_seed(
     ds: List[int] = []
     tube_by_index = {t.index: t for t in tubes}
     for gamma in ordered:
-        col, p, deg = _column_entries(tube_by_index[gamma.tube], ordered, gamma)
+        col, p, deg = _column_entries(tube_by_index[gamma.tube], checked[gamma.tube], gamma)
         cols.append(col)
         ps.append(p)
         ds.append(deg)
@@ -323,8 +322,8 @@ def enumerate_exchange_graph(
                 s2 = gca_mutate(s, k)
                 gamma = labs[k]
                 tube = tube_by_index[gamma.tube]
-                same_tube = [r for r in labs if r.tube == gamma.tube]
-                gamma2 = exchange_partner(tube, same_tube, gamma)
+                js = check_maximal(tube, [r for r in labs if r.tube == gamma.tube])
+                gamma2 = exchange_partner(tube, js, gamma)
                 labs2 = tuple(gamma2 if i == k else r for i, r in enumerate(labs))
                 built, order = build_tube_seed(tubes, labs2, s.gctx)
                 perm = [order.index(r) for r in labs2]
@@ -358,8 +357,8 @@ def exchange_relation_arcs(
     gamma * gamma' = sum_l coeff_l * prod(arc^power)."""
     gamma = labels[k]
     tube = next(t for t in tubes if t.index == gamma.tube)
-    same_tube = [r for r in labels if r.tube == gamma.tube]
-    gamma2 = exchange_partner(tube, same_tube, gamma)
+    js = check_maximal(tube, [r for r in labels if r.tube == gamma.tube])
+    gamma2 = exchange_partner(tube, js, gamma)
     rhs = [
         (seed.p[k][ell], {labels[psi]: epow for psi, epow in exps.items()})
         for ell, exps in enumerate(_exchange_exponents(seed, k))

@@ -39,6 +39,7 @@ from .affine import (
     NotInImaginaryWall,
     Tube,
     TubeRoot,
+    check_maximal,
     cluster_expansion_imaginary,
     exchange_partner,
     nonmax_root_data,
@@ -484,8 +485,9 @@ class ThetaEngine:
         maximal compatible set:  theta_g theta_g' = theta_phi theta_phi2
         + y^{phi2 + beta'} theta_phi1 theta_phi3."""
         tube = self.tubes[tube_idx]
-        info = nonmax_root_data(tube, j_set, gamma)
-        gamma_p = exchange_partner(tube, j_set, gamma)
+        js = check_maximal(tube, j_set)
+        gamma_p = exchange_partner(tube, js, gamma)
+        info = nonmax_root_data(tube, js, gamma)
         phi2 = tube_root_vector(tube, info.phi2) if info.phi2 else RootVec((0,) * self.n)
         lhs = [(1, None, self._arc_product(gamma, gamma_p))]
         rhs = [

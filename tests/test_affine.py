@@ -26,15 +26,15 @@ from affcluster.affine import (
     arc_support,
     build_affine_data,
     cartan_matrix,
+    check_maximal,
     cluster_expansion_imaginary,
     compatible,
     detect_tubes,
     exchange_partner,
+    fan,
     max_root_data,
     maximal_compatible_sets,
-    maximal_root,
     next_larger,
-    next_smaller,
     nonmax_root_data,
     positive_real_roots,
     private_element,
@@ -404,9 +404,41 @@ def test_setup_on_affine_types_beyond_the_fixtures(name):
         assert sum(tube.orbit, RootVec((0,) * data.n)) == data.delta
 
 
-def _matrix_file(tmp_path, name):
+# The transposes -B^T whose tubes the orbit-sum criterion misses: on B3 and
+# F4 one orbit sums to 2 delta and is dropped, on G2 and c2t no orbit sums to
+# delta.
+_DUALS_REFUSED = {"B3", "F4", "G2", "c2t"}
+
+
+@pytest.mark.parametrize("name", sorted([*cli.BUNDLED, *AFFINE_TYPES]))
+def test_tube_sizes_satisfy_the_tube_count(name, tmp_path, capsys):
+    """sum(r_i - 1) = n - 2 over the tube sizes r_i, in B and -B^T form, or
+    SimplesMismatch, which the CLI reports with exit 2."""
+    b = AFFINE_TYPES[name][0] if name in AFFINE_TYPES else cli.load_matrix(name).top()
+    dual = tuple(tuple(-row[i] for row in b) for i in range(len(b)))
+    assert sum(t.size - 1 for t in detect_tubes(build_affine_data(b))) == len(b) - 2
+    if name not in _DUALS_REFUSED:
+        assert sum(t.size - 1 for t in detect_tubes(build_affine_data(dual))) == len(b) - 2
+        return
+    with pytest.raises(SimplesMismatch):
+        detect_tubes(build_affine_data(dual))
+    assert cli.main(["report", "--matrix", str(_matrix_file(tmp_path, name, dual))]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("configuration error: ")
+
+
+def _cycle(p):
+    """A(p,1): the cycle on p + 1 vertices with p arrows one way round and one
+    the other, whose one tube has size p."""
+    return _simply_laced(p + 1, [*((i, i + 1) for i in range(p)), (0, p)])
+
+
+def _matrix_file(tmp_path, name, b=None):
+    """The principal extension of b, by default of AFFINE_TYPES[name], as a
+    matrix file."""
+    b = AFFINE_TYPES[name][0] if b is None else b
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(cli.matrix_json(principal_extension(AFFINE_TYPES[name][0]))))
+    path.write_text(json.dumps(cli.matrix_json(principal_extension(b))))
     return path
 
 
@@ -430,6 +462,20 @@ def test_cli_on_affine_types_beyond_the_fixtures(name, tmp_path, capsys):
         assert err == ""
         if argv is _VERIFY:
             assert out.splitlines() == [f"{family}: ok" for family in sorted(cli.IDENTITIES)]
+
+
+@pytest.mark.parametrize(
+    "p, command, key, count",
+    [(7, "report", "max_compatible_sets", 924), (8, "report", "max_compatible_sets", 3432),
+     (6, "gca-verify", "seeds", 252)],
+)
+def test_cli_on_large_tubes(p, command, key, count, tmp_path, capsys):
+    path = _matrix_file(tmp_path, f"A{p}_1", _cycle(p))
+    assert cli.main([command, "--matrix", str(path), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    tube = payload["tubes"][0] if command == "report" else payload["tube0"]
+    assert (err, tube["size"], tube[key]) == ("", p, count)
 
 
 # On D5 at depth 5 theta_delta is reachable (its tube roots need depth 4), so
@@ -715,34 +761,79 @@ def test_compatibility_examples():
 
 
 def test_maximal_compatible_set_counts():
-    # type C_{k-1} clusters: binom(2(k-1), k-1)
+    # type C_{k-1} clusters: binom(2(k-1), k-1), the cyclohedron count
     sizes = {2: 2, 3: 6, 4: 20}
     for b, k in [(B_A2T, 2), (B_A3T, 3), (B_A4T, 4)]:
         tube = detect_tubes(build_affine_data(b))[0]
         assert tube.size == k
         assert len(maximal_compatible_sets(tube)) == sizes[k]
+    # the sets depend on the tube size alone
+    for k in range(2, 10):
+        tube = Tube(0, tuple(RootVec((i,)) for i in range(k)))
+        assert len(maximal_compatible_sets(tube)) == math.comb(2 * k - 2, k - 1)
+
+
+def _reference_maximal_sets(tube):
+    """Every (k-1)-subset of the arcs that is pairwise compatible, by the
+    support oracle."""
+    arcs = all_arcs(tube)
+    ok = {(r1, r2): _support_oracle(tube, r1, r2) for r1 in arcs for r2 in arcs}
+    return [
+        frozenset(combo)
+        for combo in itertools.combinations(arcs, tube.size - 1)
+        if all(ok[pair] for pair in itertools.combinations(combo, 2))
+    ]
+
+
+def _reference_partner(tube, jset, gamma):
+    """The exchange partner by a scan over every arc."""
+    rest = [r for r in jset if r != gamma]
+    found = [
+        cand
+        for cand in all_arcs(tube)
+        if cand != gamma and cand not in rest and all(_support_oracle(tube, cand, r) for r in rest)
+    ]
+    assert len(found) == 1
+    return found[0]
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_flips_reach_the_reference_maximal_sets(p):
+    """The flip enumeration against the subset enumeration on A(p,1), and
+    the partner of every arc of every set against the arc scan.  The fan
+    is the least set, where the exchange graph starts."""
+    (tube,) = detect_tubes(build_affine_data(_cycle(p)))
+    assert tube.size == p
+    got = maximal_compatible_sets(tube)
+    ref = _reference_maximal_sets(tube)
+    assert len(got) == len(set(got)) and set(got) == set(ref)
+    assert got == sorted(got, key=lambda s: sorted((r.start, r.length) for r in s))
+    assert set(fan(tube)) == min(ref, key=sorted)
+    for jset in got:
+        js = check_maximal(tube, jset)
+        for gamma in jset:
+            assert exchange_partner(tube, js, gamma) == _reference_partner(tube, jset, gamma)
 
 
 def test_exchange_partner():
     tube = detect_tubes(build_affine_data(B_A2T))[0]
-    assert exchange_partner(tube, [TubeRoot(0, 0, 1)], TubeRoot(0, 0, 1)) == TubeRoot(0, 1, 1)
+    js = check_maximal(tube, [TubeRoot(0, 0, 1)])
+    assert exchange_partner(tube, js, TubeRoot(0, 0, 1)) == TubeRoot(0, 1, 1)
     tube3 = detect_tubes(build_affine_data(B_A3T))[0]
     for jset in maximal_compatible_sets(tube3):
         for gamma in jset:
-            partner = exchange_partner(tube3, jset, gamma)
+            partner = exchange_partner(tube3, check_maximal(tube3, jset), gamma)
             back = (set(jset) - {gamma}) | {partner}
-            assert exchange_partner(tube3, back, partner) == gamma
+            assert exchange_partner(tube3, check_maximal(tube3, back), partner) == gamma
     with pytest.raises(NotMaximal):
-        exchange_partner(tube3, [TubeRoot(0, 0, 1)], TubeRoot(0, 0, 1))
+        check_maximal(tube3, [TubeRoot(0, 0, 1)])
 
 
 def test_next_larger_smaller_private():
     tube = detect_tubes(build_affine_data(B_A4T))[0]
-    jset = [TubeRoot(0, 1, 1), TubeRoot(0, 1, 2), TubeRoot(0, 1, 3)]
-    assert maximal_root(tube, jset) == TubeRoot(0, 1, 3)
+    jset = check_maximal(tube, [TubeRoot(0, 1, 1), TubeRoot(0, 1, 2), TubeRoot(0, 1, 3)])
     assert next_larger(tube, jset, TubeRoot(0, 1, 1)) == TubeRoot(0, 1, 2)
     assert next_larger(tube, jset, TubeRoot(0, 1, 3)) is None
-    assert next_smaller(tube, jset, TubeRoot(0, 1, 2)) == [TubeRoot(0, 1, 1)]
     assert private_element(tube, jset, TubeRoot(0, 1, 1)) == 1
     assert private_element(tube, jset, TubeRoot(0, 1, 2)) == 2
     assert private_element(tube, jset, TubeRoot(0, 1, 3)) == 3
@@ -944,7 +1035,7 @@ def test_exchange_partner_not_member():
     from affcluster.affine import NotMember
 
     tube = detect_tubes(build_affine_data(B_A3T))[0]
-    jset = [TubeRoot(0, 1, 1), TubeRoot(0, 1, 2)]
+    jset = check_maximal(tube, [TubeRoot(0, 1, 1), TubeRoot(0, 1, 2)])
     with pytest.raises(NotMember):
         exchange_partner(tube, jset, TubeRoot(0, 0, 1))
     with pytest.raises(NotMember):

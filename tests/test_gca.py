@@ -229,6 +229,33 @@ def test_build_rejects_non_maximal():
         build_tube_seed(eng.tubes, [TubeRoot(0, 0, 1), TubeRoot(0, 1, 1)])
 
 
+def test_each_arc_set_is_checked_once_where_it_enters(monkeypatch):
+    # the helpers behind build_tube_seed and real_exchange take the checked
+    # bitset and do not check it again
+    from affcluster import affine, gca, theta
+
+    real = affine.check_maximal
+    calls = []
+
+    def counted(tube, j):
+        calls.append(tube.index)
+        return real(tube, j)
+
+    for module in (affine, gca, theta):
+        monkeypatch.setattr(module, "check_maximal", counted)
+    eng = ThetaEngine(B_D4T)
+    build_tube_seed(eng.tubes, [TubeRoot(t.index, 0, 1) for t in eng.tubes])
+    assert calls == [0, 1, 2]
+    eng = ThetaEngine(B_A4T)
+    jset = [TubeRoot(0, 0, 1), TubeRoot(0, 0, 2), TubeRoot(0, 0, 3)]
+    del calls[:]
+    build_tube_seed(eng.tubes, jset)
+    assert calls == [0]
+    del calls[:]
+    eng.real_exchange(0, jset, TubeRoot(0, 0, 1))
+    assert calls == [0]
+
+
 def test_exchange_graph_budget_is_loud(monkeypatch):
     monkeypatch.setattr("affcluster.gca.VERTEX_BUDGET", 2)
     eng = ThetaEngine(B_A3T)
