@@ -301,11 +301,7 @@ def cmd_gca_verify(args) -> int:
     report = {}
     for tube in eng.tubes:
         graph = _tube_graph(eng, tube)
-        expected = len(maximal_compatible_sets(tube))
-        if len(graph.vertices) != expected:
-            print(f"FAIL tube {tube.index}: {len(graph.vertices)} != {expected}")
-            return 1
-        nrel = gca.t_o_check(eng, eng.tubes, graph)
+        nrel = gca.t_o_check(eng, graph)
         # u -> 1 is a ring map, so every relation that holds with principal
         # coefficients holds coefficient-free too
         report[f"tube{tube.index}"] = {

@@ -6,12 +6,18 @@ Coefficients live in the tropical semifield on variables {z_beta} + {z_star}:
 Laurent monomials under multiplication, componentwise minimum as addition.
 Cluster variables are Laurent polynomials over the semifield group ring,
 realized in a poly.VarContext whose tropical slots are the z variables.
+
+A tube seed's exchange graph has one vertex per maximal compatible arc set,
+and the arc set is the vertex's key.  The search mutates each edge once and
+builds each seed once from its arcs; three checks tie the arc sets to the
+mutated seeds (see enumerate_exchange_graph), and t_o_check reads each
+exchange partner off the graph's edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .affine import (
     Tube,
@@ -141,19 +147,6 @@ class GCASeed:
                 if self.b[i][j] * self.d[i] != -self.b[j][i] * self.d[j]:
                     raise AssertionError("halved matrix is not skew-symmetric")
 
-    def key(self):
-        """Unlabeled-seed identity: unordered cluster with coefficients, plus
-        the exchange matrix transported along the sorting permutation."""
-        tagged = sorted(
-            range(self.rank),
-            key=lambda i: (self.x[i].canonical_key(), self.p[i], self.d[i]),
-        )
-        b = tuple(tuple(self.b[i][j] for j in tagged) for i in tagged)
-        return (
-            tuple((self.x[i].canonical_key(), self.p[i], self.d[i]) for i in tagged),
-            b,
-        )
-
 
 def _column_entries(
     tube: Tube, js: int, gamma: TubeRoot
@@ -266,8 +259,12 @@ def gca_mutate(seed: GCASeed, k: int) -> GCASeed:
         if j == k:
             new_p.append(tuple(reversed(seed.p[k])))
             continue
-        dj, dk = seed.d[j], seed.d[k]
         bkj = seed.b[k][j]
+        if bkj == 0:
+            # the normalization p_0 (+) p_d = 1 leaves the row as it is
+            new_p.append(seed.p[j])
+            continue
+        dj, dk = seed.d[j], seed.d[k]
         denom = trop_add(
             seed.p[j][0] * seed.p[k][0] ** max(bkj, 0),
             seed.p[j][dj] * seed.p[k][dk] ** max(-bkj, 0),
@@ -294,8 +291,16 @@ class ExchangeGraph:
     edges: List[Tuple[int, int, int]]  # (vertex, vertex, direction index)
 
 
-# Vertices enumerate_exchange_graph may visit before it gives up.
-VERTEX_BUDGET = 20000
+def _relabeled(seed: GCASeed, labels: Sequence[TubeRoot], order: Sequence[TubeRoot]) -> GCASeed:
+    """`seed`, whose positions carry `labels`, with its positions put in `order`."""
+    perm = [labels.index(r) for r in order]
+    return GCASeed(
+        seed.gctx,
+        tuple(seed.x[q] for q in perm),
+        tuple(seed.p[q] for q in perm),
+        tuple(tuple(seed.b[q][r] for r in perm) for q in perm),
+        tuple(seed.d[q] for q in perm),
+    )
 
 
 def enumerate_exchange_graph(
@@ -303,67 +308,44 @@ def enumerate_exchange_graph(
     seed: GCASeed,
     labels: Tuple[TubeRoot, ...],
 ) -> ExchangeGraph:
-    """BFS over generalized seed mutation.
+    """BFS over generalized seed mutation; a vertex is its arc set.
 
-    Arc labels are carried along via exchange_partner; every mutated seed is
-    compared against the seed built directly from its arc set, which also
-    keeps the labels honest.
-    The graph is finite for tube seeds; exceeding VERTEX_BUDGET aborts loudly."""
+    A flip's arc set comes from exchange_partner before any mutation.  Each
+    edge is mutated once, from the end expanded first: mutation is an
+    involution, so the way back from a later vertex needs no work.  Three
+    checks keep the arc labels honest: a mutated seed at a new arc set has
+    the coefficients, degrees and matrix, keyed by arc label, of the seed
+    built from that set; at a known set it equals the stored labelled seed,
+    cluster included; and no two vertices share a cluster.  The graph is
+    finite: a tube has finitely many arc sets."""
     tube_by_index = {t.index: t for t in tubes}
-    index: Dict[object, int] = {seed.key(): 0}
+    index: Dict[FrozenSet[TubeRoot], int] = {frozenset(labels): 0}
     graph = ExchangeGraph([seed], [labels], [])
-    frontier = [0]
-    while frontier:
-        nxt: List[int] = []
-        for vid in frontier:
-            s = graph.vertices[vid]
-            labs = graph.labels[vid]
-            for k in range(s.rank):
+    vid = 0
+    while vid < len(graph.vertices):
+        s, labs = graph.vertices[vid], graph.labels[vid]
+        for k, gamma in enumerate(labs):
+            tube = tube_by_index[gamma.tube]
+            js = check_maximal(tube, [r for r in labs if r.tube == gamma.tube])
+            labs2 = labs[:k] + (exchange_partner(tube, js, gamma),) + labs[k + 1 :]
+            wid = index.setdefault(frozenset(labs2), len(graph.vertices))
+            if wid == len(graph.vertices):
                 s2 = gca_mutate(s, k)
-                gamma = labs[k]
-                tube = tube_by_index[gamma.tube]
-                js = check_maximal(tube, [r for r in labs if r.tube == gamma.tube])
-                gamma2 = exchange_partner(tube, js, gamma)
-                labs2 = tuple(gamma2 if i == k else r for i, r in enumerate(labs))
                 built, order = build_tube_seed(tubes, labs2, s.gctx)
-                perm = [order.index(r) for r in labs2]
-                if tuple(built.d[q] for q in perm) != s2.d:
-                    raise AssertionError("mutated degrees disagree with built seed")
-                if tuple(built.p[q] for q in perm) != s2.p:
-                    raise AssertionError("mutated coefficients disagree with built seed")
-                rebuilt_b = tuple(
-                    tuple(built.b[perm[i]][perm[j]] for j in range(s2.rank))
-                    for i in range(s2.rank)
-                )
-                if rebuilt_b != s2.b:
-                    raise AssertionError("mutated matrix disagrees with built seed")
-                key = s2.key()
-                if key not in index:
-                    if len(graph.vertices) >= VERTEX_BUDGET:
-                        raise RuntimeError("exchange graph exceeded its vertex budget")
-                    index[key] = len(graph.vertices)
-                    graph.vertices.append(s2)
-                    graph.labels.append(labs2)
-                    nxt.append(index[key])
-                graph.edges.append((vid, index[key], k))
-        frontier = nxt
+                moved = _relabeled(s2, labs2, order)
+                if (moved.p, moved.b, moved.d) != (built.p, built.b, built.d):
+                    raise AssertionError("mutated seed disagrees with the seed built from its arcs")
+                graph.vertices.append(s2)
+                graph.labels.append(labs2)
+            elif wid > vid:
+                known = graph.labels[wid]
+                if _relabeled(gca_mutate(s, k), labs2, known) != graph.vertices[wid]:
+                    raise AssertionError("re-reached seed disagrees with its stored vertex")
+            graph.edges.append((vid, wid, k))
+        vid += 1
+    if len({frozenset(v.x) for v in graph.vertices}) < len(graph.vertices):
+        raise AssertionError("two arc sets share a cluster")
     return graph
-
-
-def exchange_relation_arcs(
-    tubes: Sequence[Tube], labels: Tuple[TubeRoot, ...], seed: GCASeed, k: int
-) -> Tuple[TubeRoot, TubeRoot, List[Tuple[TropMonomial, Dict[TubeRoot, int]]]]:
-    """The exchange relation at position k in arc form:
-    gamma * gamma' = sum_l coeff_l * prod(arc^power)."""
-    gamma = labels[k]
-    tube = next(t for t in tubes if t.index == gamma.tube)
-    js = check_maximal(tube, [r for r in labels if r.tube == gamma.tube])
-    gamma2 = exchange_partner(tube, js, gamma)
-    rhs = [
-        (seed.p[k][ell], {labels[psi]: epow for psi, epow in exps.items()})
-        for ell, exps in enumerate(_exchange_exponents(seed, k))
-    ]
-    return gamma, gamma2, rhs
 
 
 def t_o_image(engine, m: TropMonomial):
@@ -382,34 +364,36 @@ def t_o_image(engine, m: TropMonomial):
     return 1, gamma, engine.product([engine.theta_delta()] * stars)
 
 
-def t_o_check(engine, tubes: Sequence[Tube], graph: ExchangeGraph) -> int:
+def t_o_check(engine, graph: ExchangeGraph) -> int:
     """Substitute thetas into every exchange relation along the graph and
     verify each becomes an exact Laurent identity, compared in pointed form;
     returns the number of relations checked.  Raises IdentityViolated on any
-    failure.  Each relation is checked once, with principal coefficients: a
-    zero difference stays zero under u -> 1, a ring map, so the relations
-    also hold coefficient-free."""
+    failure.  An edge (v, w, k) gives the relation gamma * gamma' with gamma
+    the label of v at k and gamma' the one label of w not in v.  Each
+    relation is checked once, with principal coefficients: a zero difference
+    stays zero under u -> 1, a ring map, so the relations also hold
+    coefficient-free."""
     from .theta import IdentityViolated
 
     checked = 0
     seen_rel = set()
-    for vid, s in enumerate(graph.vertices):
-        labels = graph.labels[vid]
-        for k in range(s.rank):
-            gamma, gamma2, rhs = exchange_relation_arcs(tubes, labels, s, k)
-            relkey = (min(gamma, gamma2), max(gamma, gamma2))
-            if relkey in seen_rel:
-                continue
-            seen_rel.add(relkey)
-            lhs = engine.multiply(engine.theta_tube_root(gamma), engine.theta_tube_root(gamma2))
-            terms = [(1, None, lhs)]
-            for coeff, powers in rhs:
-                c, shift, theta = t_o_image(engine, coeff)
-                arcs = [engine.theta_tube_root(r) for r, e in powers.items() for _ in range(e)]
-                terms.append((-c, shift, engine.product(t for t in (theta, *arcs) if t)))
-            if engine._collect(terms):
-                raise IdentityViolated(
-                    f"t_o substitution failed on relation {gamma} * {gamma2}"
-                )
-            checked += 1
+    for vid, wid, k in graph.edges:
+        s, labels = graph.vertices[vid], graph.labels[vid]
+        gamma = labels[k]
+        (gamma2,) = set(graph.labels[wid]) - set(labels)
+        relkey = frozenset((gamma, gamma2))
+        if relkey in seen_rel:
+            continue
+        seen_rel.add(relkey)
+        lhs = engine.multiply(engine.theta_tube_root(gamma), engine.theta_tube_root(gamma2))
+        terms = [(1, None, lhs)]
+        for ell, exps in enumerate(_exchange_exponents(s, k)):
+            c, shift, theta = t_o_image(engine, s.p[k][ell])
+            arcs = [engine.theta_tube_root(labels[psi]) for psi, e in exps.items() for _ in range(e)]
+            terms.append((-c, shift, engine.product(t for t in (theta, *arcs) if t)))
+        if engine._collect(terms):
+            raise IdentityViolated(
+                f"t_o substitution failed on relation {gamma} * {gamma2}"
+            )
+        checked += 1
     return checked

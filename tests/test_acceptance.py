@@ -232,7 +232,7 @@ def test_criterion_8_gca_correctness():
         assert len(graph.vertices) == brute
         # a zero difference stays zero under z -> 1, a ring map, so one
         # check with coefficients covers the coefficient-free relations
-        assert t_o_check(eng, eng.tubes, graph) > 0
+        assert t_o_check(eng, graph) > 0
         sizes[k] = brute
     elapsed = time.time() - start
     assert elapsed < 120.0

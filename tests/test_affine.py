@@ -467,7 +467,7 @@ def test_cli_on_affine_types_beyond_the_fixtures(name, tmp_path, capsys):
 @pytest.mark.parametrize(
     "p, command, key, count",
     [(7, "report", "max_compatible_sets", 924), (8, "report", "max_compatible_sets", 3432),
-     (6, "gca-verify", "seeds", 252)],
+     (6, "gca-verify", "seeds", 252), (7, "gca-verify", "seeds", 924)],
 )
 def test_cli_on_large_tubes(p, command, key, count, tmp_path, capsys):
     path = _matrix_file(tmp_path, f"A{p}_1", _cycle(p))

@@ -186,7 +186,7 @@ def test_identity_checks_multiply_no_laurent_polynomials(monkeypatch):
         for name in families:
             assert cli.run_identity(eng, name, kmax=4) == []
         for graph in graphs:
-            assert gca.t_o_check(eng, eng.tubes, graph) > 0
+            assert gca.t_o_check(eng, graph) > 0
 
     run_all()
     calls = []
