@@ -13,27 +13,18 @@ is fraction-free and returns integer rows over a common denominator d > 0;
 the tube test omega_c(delta, v) = 0 is an integer dot product; and the wall
 solve reads numerators over d, testing divisibility and sign.  The
 symmetrizer is kept once, as the integer coroot scalers AffineData.e.
-Fraction remains only in the forms omega_form and pair_weight_root.
+Nothing here uses Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .seeds import (
-    CorootVec,
-    ExtendedExchangeMatrix,
-    RootVec,
-    Rows,
-    WeightVec,
-    coroot_scalers,
-    primitive_coroot,
-)
+from .seeds import ExtendedExchangeMatrix, RootVec, Rows, WeightVec, coroot_scalers
 
 
 class NotAcyclic(ValueError):
@@ -187,17 +178,10 @@ class AffineData:
         coords[r] -= pairing
         return RootVec(tuple(coords))
 
-    def reflect_weight(self, r: int, w: WeightVec) -> WeightVec:
-        lr = w.coords[r]
-        return WeightVec(
-            tuple(w.coords[j] - self.cartan[j][r] * lr for j in range(self.n))
-        )
-
-    def coxeter_root(self, v: RootVec, power: int = 1) -> RootVec:
-        seq = tuple(reversed(self.order)) if power > 0 else self.order
-        for _ in range(abs(power)):
-            for r in seq:
-                v = self.reflect_root(r, v)
+    def coxeter_root(self, v: RootVec) -> RootVec:
+        """c(v): one reflection per index, sink to source."""
+        for r in reversed(self.order):
+            v = self.reflect_root(r, v)
         return v
 
     def coxeter_matrix(self) -> Rows:
@@ -209,29 +193,7 @@ class AffineData:
         ]
         return tuple(tuple(col[i] for col in cols) for i in range(n))
 
-    def coxeter_weight(self, w: WeightVec, power: int = 1) -> WeightVec:
-        seq = tuple(reversed(self.order)) if power > 0 else self.order
-        for _ in range(abs(power)):
-            for r in seq:
-                w = self.reflect_weight(r, w)
-        return w
-
-    # -- pairings ------------------------------------------------------------
-
-    def pair_weight_coroot(self, w: WeightVec, coroot: CorootVec) -> int:
-        return sum(a * b for a, b in zip(w.coords, coroot.coords))
-
-    def pair_weight_root(self, w: WeightVec, v: RootVec) -> Fraction:
-        return sum(Fraction(w.coords[i] * v.coords[i], self.e[i]) for i in range(self.n))
-
-    def beta_check(self, v: RootVec) -> CorootVec:
-        """The primitive coroot parallel to v."""
-        return CorootVec(primitive_coroot(v.coords, self.e))
-
-    def omega_form(self, v: RootVec, w: RootVec) -> Fraction:
-        """omega_c(v, w) for v, w in V (both in simple-root coordinates)."""
-        bw = [sum(self.b[i][j] * w.coords[j] for j in range(self.n)) for i in range(self.n)]
-        return sum(Fraction(v.coords[i], self.e[i]) * bw[i] for i in range(self.n))
+    # -- the form omega_c ----------------------------------------------------
 
     def b_weight(self, v: RootVec) -> WeightVec:
         """omega_c(., v) as a weight vector: the matrix product B v."""
@@ -716,15 +678,6 @@ def _quotient_text(num: int, den: int) -> str:
     g = gcd(num, den)
     num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
-
-
-def weight_in_imaginary_wall(
-    data: AffineData, tubes: Sequence[Tube], w: WeightVec
-) -> bool:
-    """Real-cone membership of a weight in d_infinity."""
-    phi = data.nu_c_inv(w)
-    res = _tube_profiles(data, tubes, phi)
-    return res is not None and res[1] >= 0
 
 
 def cluster_expansion_imaginary(

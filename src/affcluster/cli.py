@@ -31,7 +31,7 @@ from .affine import (
     maximal_compatible_sets,
     tube_root_vector,
 )
-from .poly import to_json_dict
+from .poly import json_int, to_json_dict
 from .seeds import (
     ExtendedExchangeMatrix,
     NotFound,
@@ -61,22 +61,15 @@ def load_matrix(source: str) -> ExtendedExchangeMatrix:
             text = fh.read()
     try:
         blob = json.loads(text)
-        rows = tuple(tuple(_json_int(x) for x in r) for r in blob["rows"])
-        matrix = ExtendedExchangeMatrix(rows, _json_int(blob["n"]))
-        if _json_int(blob["m"]) != matrix.m:
+        rows = tuple(tuple(json_int(x) for x in r) for r in blob["rows"])
+        matrix = ExtendedExchangeMatrix(rows, json_int(blob["n"]))
+        if json_int(blob["m"]) != matrix.m:
             raise ValueError(f'"m" is {blob["m"]} but the file has {matrix.m} coefficient rows')
         return matrix
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(f"malformed matrix file: {exc}") from exc
-
-
-def _json_int(x) -> int:
-    """x itself if it is a JSON integer; a bool, float or string is refused."""
-    if type(x) is not int:
-        raise ValueError(f"{json.dumps(x)} is not an integer")
-    return x
 
 
 def matrix_json(matrix: ExtendedExchangeMatrix) -> dict:

@@ -8,7 +8,7 @@ representation is exact and identity testing is fully reliable.
 
 Every polynomial belongs to a VarContext naming two groups of variables:
 n "cluster" variables followed by m "tropical" variables.  The split only
-matters to pointed_form and clear_tropical; arithmetic treats all
+matters to pointed_split and pointed_form; arithmetic treats all
 n+m positions alike.  The zero polynomial is the empty dict.
 
 mul_terms multiplies two such term maps without a context, choosing by
@@ -26,12 +26,14 @@ result are read back through a memoryview.  A sparser box, or one over
 from __future__ import annotations
 
 import heapq
+import json
+import re
 import sys
 from array import array
 from dataclasses import dataclass
 from itertools import compress, product, repeat, tee
 from math import isqrt, prod
-from operator import add, lshift, mul, sub
+from operator import add, lshift, lt, mul, sub
 from typing import Dict, Iterable, Mapping, Tuple
 
 Exponent = Tuple[int, ...]
@@ -391,20 +393,23 @@ class LaurentPoly:
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Return q with q*b == a, exactly, over integer Laurent polynomials.
 
-    Both operands are shifted to ordinary polynomials (componentwise minimal
-    exponent zero), divided by graded-lex leading-term elimination, and the
-    quotient is shifted back.  Raises NotDivisible when no quotient exists.
+    Graded-lex leading-term elimination on the Laurent exponents.  Least
+    exponents add under multiplication, so every term of q lies at or above
+    min(a) - min(b) componentwise, and a quotient term below that floor
+    means no quotient exists.  Above it every remainder term stays at or
+    above min(a), where graded-lex order is a well-order, so the loop ends.
+    This is the elimination of the operands shifted to ordinary polynomials,
+    translated back: graded-lex order is translation-invariant.  Raises
+    NotDivisible when no quotient exists.
     """
     a._check(b)
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
         return LaurentPoly.zero(a.ctx)
-    ma = a.min_exponents()
-    mb = b.min_exponents()
-    r = dict(a.shift(tuple(-x for x in ma)).terms)
-    bb = b.shift(tuple(-x for x in mb))
-    lead_e, lead_c = bb.leading()
+    floor = tuple(map(sub, a.min_exponents(), b.min_exponents()))
+    r = dict(a.terms)
+    lead_e, lead_c = b.leading()
     # the remainder's exponents, largest graded-lex first; an entry whose
     # term has since cancelled is skipped when it comes up
     def key(e: Exponent) -> Tuple[int, Exponent]:
@@ -419,12 +424,12 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         rc = r.get(re)
         if rc is None:
             continue
-        qe = tuple(x - y for x, y in zip(re, lead_e))
-        if any(x < 0 for x in qe) or rc % lead_c != 0:
+        qe = tuple(map(sub, re, lead_e))
+        if any(map(lt, qe, floor)) or rc % lead_c != 0:
             raise NotDivisible("no exact Laurent quotient")
         qc = rc // lead_c
         quotient[qe] = qc
-        for be, bc in bb.terms.items():
+        for be, bc in b.terms.items():
             e = tuple(map(add, be, qe))
             c = r.get(e, 0) - qc * bc
             if c:
@@ -433,8 +438,7 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 r[e] = c
             else:
                 r.pop(e, None)
-    q = LaurentPoly(a.ctx, quotient)
-    return q.shift(tuple(x - y for x, y in zip(ma, mb)))
+    return LaurentPoly(a.ctx, quotient)
 
 
 def substitute(p: LaurentPoly, images: Mapping[int, LaurentPoly]) -> LaurentPoly:
@@ -508,16 +512,6 @@ def pointed_form(p: LaurentPoly) -> Tuple[Tuple[int, ...], LaurentPoly]:
     return g, tail
 
 
-def clear_tropical(p: LaurentPoly) -> LaurentPoly:
-    """Multiply by the minimal tropical monomial removing negative u-exponents."""
-    mins = p.min_exponents()
-    shift = [0] * p.ctx.nvars
-    for i in range(p.ctx.n, p.ctx.nvars):
-        if mins[i] < 0:
-            shift[i] = -mins[i]
-    return p.shift(shift)
-
-
 def to_json_dict(p: LaurentPoly) -> dict:
     """JSON form: {"vars": [...], "terms": [{"c": "<int>", "e": [...]}]}."""
     return {
@@ -528,8 +522,22 @@ def to_json_dict(p: LaurentPoly) -> dict:
     }
 
 
+# str(c) of a nonzero int c: the only coefficient text to_json_dict writes
+_COEFFICIENT = re.compile(r"-?[1-9][0-9]*")
+
+
+def json_int(x) -> int:
+    """x itself if it is a JSON integer; a bool, float or string is refused."""
+    if type(x) is not int:
+        raise ValueError(f"{json.dumps(x)} is not an integer")
+    return x
+
+
 def from_json_dict(d: dict, ctx: VarContext | None = None) -> LaurentPoly:
-    """Inverse of to_json_dict.  Without ctx the variables must carry the
+    """Inverse of to_json_dict, refusing what it could not have written:
+    every exponent must be a JSON integer, every coefficient the string
+    str(c) of a nonzero int c, and no exponent may appear twice; anything
+    else raises ValueError.  Without ctx the variables must carry the
     default names x1..xn, u1..um, which alone tell where the cluster
     variables end; any other naming raises ContextMismatch."""
     names = tuple(d["vars"])
@@ -542,4 +550,13 @@ def from_json_dict(d: dict, ctx: VarContext | None = None) -> LaurentPoly:
         ctx = VarContext(n, len(names) - n, names)
     elif ctx.names != names:
         raise ContextMismatch("JSON variable list does not match context")
-    return LaurentPoly(ctx, {tuple(t["e"]): int(t["c"]) for t in d["terms"]})
+    terms: Dict[Exponent, int] = {}
+    for t in d["terms"]:
+        e = tuple(map(json_int, t["e"]))
+        text = t["c"]
+        if type(text) is not str or not _COEFFICIENT.fullmatch(text):
+            raise ValueError(f"coefficient {json.dumps(text)} is not a nonzero integer string")
+        if e in terms:
+            raise ValueError(f"exponent {list(e)} appears twice")
+        terms[e] = int(text)
+    return LaurentPoly(ctx, terms)

@@ -11,10 +11,9 @@ comes from the recursion inv[k] = -sum_{j=1..k} c[j] inv[k-j].
 Every monomial of a loop product that starts at x^{e_gen} is
 x^{e_gen + B m} u^m, so wall crossing works on pointed term maps m -> c and
 stops each inner loop at tropical degree `order` instead of truncating a
-full product.  A LaurentPoly is built only at the output edge: Wall2.series,
-the consistency defects and the broken-line sums.  The scattering term on
-the imaginary wall is never assumed; it is produced by consistency
-completion.
+full product.  A LaurentPoly is built only at the output edge: Wall2.series
+and the broken-line sums.  The scattering term on the imaginary wall is
+never assumed; it is produced by consistency completion.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .poly import Exponent, LaurentPoly, VarContext, default_context
 from .seeds import Rows, WeightVec, coroot_scalers, primitive_coroot
@@ -116,18 +115,6 @@ class ScatteringDiagram2:
             self.b[1][0] * m[0] + self.b[1][1] * m[1],
             m[0],
             m[1],
-        )
-
-    def _one(self) -> LaurentPoly:
-        return LaurentPoly.const(self.ctx, 1)
-
-    def _yhat_monomial(self, m: Vec2, coeff: int = 1) -> LaurentPoly:
-        """yhat^m = u^m x^{B m}."""
-        return LaurentPoly.monomial(self.ctx, self._yhat(m), coeff)
-
-    def truncate(self, p: LaurentPoly) -> LaurentPoly:
-        return LaurentPoly(
-            self.ctx, {e: c for e, c in p.terms.items() if e[2] + e[3] <= self.order}
         )
 
     def coroot(self, beta: Vec2) -> Vec2:
@@ -250,11 +237,6 @@ class ScatteringDiagram2:
             del terms[(0, 0)]
         return terms
 
-    def defect(self, generator: int) -> LaurentPoly:
-        return LaurentPoly(
-            self.ctx, {self._yhat(m): c for m, c in self._defect_terms(generator).items()}
-        )
-
     # -- completion ------------------------------------------------------------------
 
     def _complete(self) -> None:
@@ -304,15 +286,6 @@ class ScatteringDiagram2:
                         raise InconsistentDiagram(
                             f"completion failed to fix degree {deg}"
                         )
-
-    def consistency_defects(self) -> Tuple[LaurentPoly, LaurentPoly]:
-        return self.defect(0), self.defect(1)
-
-    def wall_for_normal(self, beta: Vec2) -> Optional[Wall2]:
-        for w in self.walls:
-            if w.normal == tuple(beta):
-                return w
-        return None
 
 
 def complete_scattering_rank2(b: Rows, order: int = 8) -> ScatteringDiagram2:
@@ -434,28 +407,4 @@ def theta_via_broken_lines(
     lines = enumerate_broken_lines_rank2(diagram, lam, endpoint)
     return _sum_monomials(
         diagram.ctx, ((bl.weight + bl.tropical, bl.coeff) for bl in lines)
-    )
-
-
-def pair_structure_constant(
-    diagram: ScatteringDiagram2,
-    p1: WeightVec,
-    p2: WeightVec,
-    lam: WeightVec,
-    endpoint: Tuple[Fraction, Fraction],
-) -> LaurentPoly:
-    """a_chi(p1, p2, lam): sum of c1 c2 y^{b1+b2} over pairs of broken lines
-    with final weights adding to lam, both ending at chi."""
-    lines1 = enumerate_broken_lines_rank2(diagram, p1, endpoint)
-    lines2 = enumerate_broken_lines_rank2(diagram, p2, endpoint)
-    return _sum_monomials(
-        diagram.ctx,
-        (
-            ((0, 0, s1.tropical[0] + s2.tropical[0], s1.tropical[1] + s2.tropical[1]),
-             s1.coeff * s2.coeff)
-            for s1 in lines1
-            for s2 in lines2
-            if s1.weight[0] + s2.weight[0] == lam.coords[0]
-            and s1.weight[1] + s2.weight[1] == lam.coords[1]
-        ),
     )

@@ -68,9 +68,6 @@ class _IntVec:
     def scale(self: V, k: int) -> V:
         return type(self)(tuple(k * a for a in self.coords))
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
 
 class RootVec(_IntVec):
     """Integer vector in the simple-root basis."""
@@ -81,13 +78,6 @@ class RootVec(_IntVec):
 
 class WeightVec(_IntVec):
     """Integer vector in the fundamental-weight basis."""
-
-
-@dataclass(frozen=True)
-class CorootVec:
-    """Integer vector in the simple-coroot basis."""
-
-    coords: Tuple[int, ...]
 
 
 def primitive_coroot(v: Sequence[int], e: Sequence[int]) -> Tuple[int, ...]:
@@ -229,13 +219,6 @@ class Seed:
     def ctx(self) -> VarContext:
         return self.cluster[0].ctx
 
-    def key(self):
-        """Deduplication key: matrix entries plus the unordered cluster."""
-        return (
-            self.matrix.rows,
-            tuple(sorted(p.canonical_key() for p in self.cluster)),
-        )
-
 
 def initial_seed(matrix: ExtendedExchangeMatrix, ctx: Optional[VarContext] = None) -> Seed:
     n, m = matrix.n, matrix.m
@@ -309,29 +292,10 @@ def mutation_map_eta(b: Rows, word: Sequence[int], v: WeightVec) -> WeightVec:
     return WeightVec(rows[n])
 
 
-def sink_to_source_word(order: Sequence[int]) -> Tuple[int, ...]:
-    """The mutation word realizing mu_{order} (rightmost index applied first)."""
-    return tuple(reversed(tuple(order)))
-
-
 def g_vector_of(seed: Seed, i: int) -> WeightVec:
     """Pointed exponent of cluster variable i (principal coefficients)."""
     g, _tail = pointed_form(seed.cluster[i])
     return WeightVec(g)
-
-
-def denominator_vector_of(p: LaurentPoly) -> RootVec:
-    """Componentwise maximum of negated cluster-variable exponents."""
-    if not p:
-        raise ValueError("denominator vector of the zero polynomial")
-    n = p.ctx.n
-    best = [None] * n  # type: List[Optional[int]]
-    for e in p.terms:
-        for i in range(n):
-            v = -e[i]
-            if best[i] is None or v > best[i]:
-                best[i] = v
-    return RootVec(tuple(int(x) for x in best))  # type: ignore[arg-type]
 
 
 # -- g-vector search ---------------------------------------------------------
@@ -411,53 +375,3 @@ def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
         frontier = new_frontier
         if not frontier:
             break
-
-
-def enumerate_seeds(seed: Seed, depth: int) -> List[Seed]:
-    """All seeds within the given mutation depth, deduplicated by
-    (matrix entries, unordered cluster)."""
-    seen = {seed.key()}
-    out = [seed]
-    frontier = [seed]
-    for _ in range(depth):
-        nxt = []
-        for s in frontier:
-            for k in range(s.matrix.n):
-                s2 = mutate_seed(s, k)
-                if s2.key() not in seen:
-                    seen.add(s2.key())
-                    out.append(s2)
-                    nxt.append(s2)
-        frontier = nxt
-        if not frontier:
-            break
-    return out
-
-
-# -- mutation of theta functions (primed-variable rewriting) ------------------
-
-def rewrite_in_mutated_variables(
-    seed: Seed, k: int, v: LaurentPoly, label: WeightVec
-) -> LaurentPoly:
-    """Rewrite a pointed polynomial v (label = its g-vector for seed.matrix)
-    in the variables of the seed mutated at k, including the coefficient
-    correction y_k^{-[sgn(y_k) <label, alpha_k_check>]_+}.
-
-    The result is expressed in the same symbols, now read as the primed
-    variables.  Exactness of the division is part of the claim being tested."""
-    ctx = seed.ctx
-    n, m = seed.matrix.n, seed.matrix.m
-    s = column_sign(seed.matrix, k)
-    p = exchange_rhs(seed, k)  # x_k x'_k as a polynomial
-    var_k_inv = LaurentPoly.var(ctx, k) ** -1
-    image = p * var_k_inv
-    shift_k = max(0, -v.min_exponents()[k])
-    shifted = v.shift(tuple(shift_k if i == k else 0 for i in range(ctx.nvars)))
-    from .poly import substitute
-
-    a = substitute(shifted, {k: image})
-    exp = -_pos(s * label.coords[k])
-    ycol = [seed.matrix.rows[n + i][k] for i in range(m)]
-    mult = tropical_monomial(ctx, [exp * y for y in ycol])
-    numer = (a * mult).shift(tuple(shift_k if i == k else 0 for i in range(ctx.nvars)))
-    return exact_div(numer, p ** shift_k)

@@ -56,7 +56,6 @@ from .seeds import (
     initial_seed,
     mutate_seed_word,
     principal_extension,
-    tropical_monomial,
 )
 
 
@@ -165,10 +164,6 @@ class ThetaEngine:
         }
 
     # -- monomial helpers ----------------------------------------------------
-
-    def y_monomial(self, beta: RootVec, coeff: int = 1) -> LaurentPoly:
-        """y^beta: the tropical monomial u^beta (principal coefficients)."""
-        return tropical_monomial(self.ctx, beta.coords, coeff)
 
     def one(self) -> LaurentPoly:
         return LaurentPoly.const(self.ctx, 1)
@@ -386,18 +381,6 @@ class ThetaEngine:
         return theta
 
     # -- products in the theta basis ----------------------------------------------
-
-    def dominance_chain(self, label: WeightVec) -> List[WeightVec]:
-        """{label - 2a nu_c(delta) : a >= 0} intersected with d_infinity."""
-        out = []
-        a = 0
-        while True:
-            kappa = label - self.nu_delta.scale(2 * a)
-            if not affine.weight_in_imaginary_wall(self.data, self.tubes, kappa):
-                break
-            out.append(kappa)
-            a += 1
-        return out
 
     def expand_product(
         self, a: ThetaFunction, b: ThetaFunction

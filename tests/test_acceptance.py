@@ -13,23 +13,22 @@ from affcluster.affine import (
     cluster_expansion_imaginary,
     compatible,
     maximal_compatible_sets,
-    weight_in_imaginary_wall,
 )
 from affcluster.gca import build_tube_seed, enumerate_exchange_graph, t_o_check
 from affcluster.poly import LaurentPoly
 from affcluster.scatter2 import complete_scattering_rank2, theta_via_broken_lines
 from affcluster.seeds import (
     WeightVec,
-    denominator_vector_of,
     initial_seed,
     mutate_rows,
     mutate_seed,
     mutate_seed_word,
     mutation_map_eta,
     principal_extension,
-    sink_to_source_word,
+    tropical_monomial,
 )
 from affcluster.theta import ThetaEngine
+from reference import denominator_vector_of, dominance_chain, truncate, weight_in_imaginary_wall
 
 B_KRON = ((0, 2), (-2, 0))
 B_41 = ((0, 4), (-1, 0))
@@ -83,12 +82,12 @@ def test_criterion_2_broken_line_oracle_agreement():
         diagram = complete_scattering_rank2(b, order=8)
         eng = ThetaEngine(b)
         nu = eng.data.nu_c(eng.data.delta)
-        assert theta_via_broken_lines(diagram, nu) == diagram.truncate(
-            eng.theta_delta().poly
+        assert theta_via_broken_lines(diagram, nu) == truncate(
+            diagram, eng.theta_delta().poly
         )
         for k in range(1, 5):
             got = theta_via_broken_lines(diagram, nu.scale(k))
-            assert got == diagram.truncate(eng.theta_k_delta(k).poly)
+            assert got == truncate(diagram, eng.theta_k_delta(k).poly)
     elapsed = time.time() - start
     assert elapsed < 60.0
     print(f"\nACCEPTANCE 2 PASS: broken-line oracle agrees at order 8 ({elapsed:.2f}s < 60s)")
@@ -100,13 +99,13 @@ def test_criterion_3_imaginary_ray_products():
         eng = ThetaEngine(b)
         for k in range(1, 5):
             sq = eng.theta_k_delta(k).poly * eng.theta_k_delta(k).poly
-            assert sq == eng.theta_k_delta(2 * k).poly + eng.y_monomial(
-                eng.data.delta.scale(k), 2
+            assert sq == eng.theta_k_delta(2 * k).poly + tropical_monomial(
+                eng.ctx, eng.data.delta.scale(k).coords, 2
             )
             for l in range(1, k):
                 lhs = eng.theta_k_delta(k).poly * eng.theta_k_delta(l).poly
-                rhs = eng.theta_k_delta(k + l).poly + eng.y_monomial(
-                    eng.data.delta.scale(l)
+                rhs = eng.theta_k_delta(k + l).poly + tropical_monomial(
+                    eng.ctx, eng.data.delta.scale(l).coords
                 ) * eng.theta_k_delta(k - l).poly
                 assert lhs == rhs
     print(f"\nACCEPTANCE 3 PASS: ray product identities exact, 1<=l<k<=4 ({time.time()-start:.2f}s)")
@@ -168,7 +167,7 @@ def test_criterion_6_denominator_vectors():
                 phi = eng.data.delta.scale(m_delta)
                 for i, q in enumerate(profile):
                     phi = phi + tube.orbit[i].scale(q)
-                if phi.is_zero():
+                if not any(phi.coords):
                     continue
                 theta = eng.theta_imaginary(phi)
                 assert denominator_vector_of(theta.poly) == phi
@@ -202,7 +201,7 @@ def test_criterion_7_subalgebra_closure():
             arcs_a, arcs_b = gen_arcs[a.label], gen_arcs[bth.label]
             if all(compatible(eng.tubes, r1, r2) for r1 in arcs_a for r2 in arcs_b):
                 # common imaginary cone: support lies on the dominance chain
-                chain = set(eng.dominance_chain(a.label + bth.label))
+                chain = set(dominance_chain(eng, a.label + bth.label))
                 assert set(combo) <= chain
             tubes_touched = {r.tube for r in arcs_a | arcs_b}
             if len(tubes_touched) == 1 and arcs_a and arcs_b:
@@ -265,7 +264,7 @@ def test_criterion_9_property_suites(rng):
 
     for b in ALL_FIXTURES:
         rows = b
-        for k in sink_to_source_word(source_to_sink_order(b)):
+        for k in reversed(source_to_sink_order(b)):
             rows = mutate_rows(rows, k)
         assert rows == b
 
@@ -282,7 +281,7 @@ def test_criterion_9_property_suites(rng):
     for b in ALL_FIXTURES:
         eng = ThetaEngine(b)
         n = len(b)
-        word = sink_to_source_word(eng.data.order)
+        word = tuple(reversed(eng.data.order))
         period = 1
         for tube in eng.tubes:
             g = period

@@ -15,7 +15,6 @@ from affcluster.poly import (
     NotDivisible,
     NotPointed,
     VarContext,
-    clear_tropical,
     default_context,
     exact_div,
     from_json_dict,
@@ -24,6 +23,7 @@ from affcluster.poly import (
     substitute,
     to_json_dict,
 )
+from reference import clear_tropical, exact_div_shifted
 
 CTX = default_context(2, 2)  # x1 x2 u1 u2
 
@@ -112,6 +112,53 @@ def test_exact_div_integer_coefficients_only():
     three = LaurentPoly.const(CTX, 3)
     with pytest.raises(NotDivisible):
         exact_div(three, two_x)
+
+
+def test_exact_div_matches_shifting_reference(rng):
+    """exact_div eliminates on the Laurent exponents in place; the reference
+    shifts both operands to ordinary polynomials and the quotient back.
+    Divisors have a leading coefficient other than +-1; a stray monomial
+    added to a = q*b makes most of the divisions fail."""
+
+    def rand(ctx, count):
+        exponents = (tuple(rng.randint(-3, 3) for _ in range(ctx.nvars)) for _ in range(count))
+        return LaurentPoly(ctx, {e: rng.choice([-5, -3, -2, -1, 1, 2, 4]) for e in exponents})
+
+    outcomes = set()
+    for _ in range(150):
+        nvars = rng.randint(1, 5)
+        n = rng.randint(1, nvars)
+        ctx = default_context(n, nvars - n)
+        b = rand(ctx, rng.randint(1, 4))
+        lead, _ = b.leading()
+        b = LaurentPoly(ctx, {**b.terms, lead: rng.choice([-3, -2, 2, 3, 6])})
+        q = rand(ctx, rng.randint(1, 6))
+        stray = rand(ctx, 1)
+        for a in (q * b, q * b + stray):
+            try:
+                want = exact_div_shifted(a, b)
+            except NotDivisible:
+                with pytest.raises(NotDivisible):
+                    exact_div(a, b)
+                outcomes.add("not divisible")
+            else:
+                assert exact_div(a, b) == want
+                outcomes.add("divisible")
+    assert outcomes == {"divisible", "not divisible"}
+
+
+def test_exact_div_shifts_no_operand(monkeypatch):
+    p = mono((0, 2, 0, 0), 3) + mono((1, -1, 0, 2), -2)
+    b = mono((2, -1, 0, 1), 2) + mono((-1, 0, 1, 0), -1)
+    a = p * b
+
+    def no_shift(self, exponents):
+        raise AssertionError("exact_div shifted a polynomial")
+
+    monkeypatch.setattr(LaurentPoly, "shift", no_shift)
+    assert exact_div(a, b) == p
+    with pytest.raises(NotDivisible):
+        exact_div(a + mono((5, 0, 0, 0)), b)
 
 
 def test_substitute_specialization_to_one():
@@ -213,6 +260,43 @@ def test_json_without_context_needs_default_names():
         from_json_dict(to_json_dict(LaurentPoly.var(custom, 2)))
     with pytest.raises(ContextMismatch):
         from_json_dict({"vars": ["a1", "z0_0", "zs"], "terms": []})
+
+
+@pytest.mark.parametrize(
+    "terms, match",
+    [
+        ([{"c": "1", "e": [0.5, 1]}], "0.5 is not an integer"),
+        ([{"c": "1", "e": [1, True]}], "true is not an integer"),
+        ([{"c": "1", "e": ["1", 0]}], '"1" is not an integer'),
+        ([{"c": "1_0", "e": [1, 0]}], 'coefficient "1_0"'),
+        ([{"c": 5, "e": [1, 0]}], "coefficient 5 "),
+        ([{"c": "+5", "e": [1, 0]}], 'coefficient "[+]5"'),
+        ([{"c": " 5", "e": [1, 0]}], 'coefficient " 5"'),
+        ([{"c": "05", "e": [1, 0]}], 'coefficient "05"'),
+        ([{"c": "5.0", "e": [1, 0]}], 'coefficient "5.0"'),
+        ([{"c": "0", "e": [1, 0]}], 'coefficient "0"'),
+        ([{"c": "-0", "e": [1, 0]}], 'coefficient "-0"'),
+        ([{"c": "2", "e": [1, 0]}, {"c": "3", "e": [1, 0]}], "exponent \\[1, 0\\] appears twice"),
+    ],
+    ids=[
+        "float-exponent",
+        "bool-exponent",
+        "string-exponent",
+        "underscore-coefficient",
+        "int-coefficient",
+        "plus-sign",
+        "leading-space",
+        "leading-zero",
+        "decimal-point",
+        "zero-coefficient",
+        "negative-zero",
+        "repeated-exponent",
+    ],
+)
+def test_json_refuses_what_to_json_dict_could_not_have_written(terms, match):
+    with pytest.raises(ValueError, match=match) as err:
+        from_json_dict({"vars": ["x1", "u1"], "terms": terms})
+    assert not isinstance(err.value, ContextMismatch)
 
 
 def test_canonical_printing_deterministic():

@@ -17,13 +17,19 @@ from affcluster.poly import LaurentPoly, substitute
 from affcluster.seeds import (
     RootVec,
     WeightVec,
-    denominator_vector_of,
     initial_seed,
     mutate_rows,
     mutation_map_eta,
-    rewrite_in_mutated_variables,
+    tropical_monomial,
 )
 from affcluster.theta import PEEL_BUDGET, ThetaEngine
+from reference import (
+    denominator_vector_of,
+    dominance_chain,
+    pair_weight_root,
+    rewrite_in_mutated_variables,
+    weight_in_imaginary_wall,
+)
 
 B_KRON = ((0, 2), (-2, 0))
 B_41 = ((0, 4), (-1, 0))
@@ -80,7 +86,7 @@ def test_theta_tube_root_labels_and_denominators():
                 theta = eng.theta_tube_root(r)
                 assert theta.label == eng.data.nu_c(vec)
                 # labels pair to zero with delta
-                assert eng.data.pair_weight_root(theta.label, eng.data.delta) == 0
+                assert pair_weight_root(eng.data, theta.label, eng.data.delta) == 0
                 # Cor: denominator vector equals the root itself
                 assert denominator_vector_of(theta.poly) == vec
 
@@ -90,8 +96,8 @@ def test_theta_k_delta_square_identity():
         eng = ThetaEngine(b)
         for k in (1, 2):
             sq = eng.theta_k_delta(k).poly * eng.theta_k_delta(k).poly
-            rhs = eng.theta_k_delta(2 * k).poly + eng.y_monomial(
-                eng.data.delta.scale(k), 2
+            rhs = eng.theta_k_delta(2 * k).poly + tropical_monomial(
+                eng.ctx, eng.data.delta.scale(k).coords, 2
             )
             assert sq == rhs
 
@@ -103,8 +109,8 @@ def test_theta_k_delta_product_identity():
             for l in range(1, k):
                 lhs = eng.theta_k_delta(k).poly * eng.theta_k_delta(l).poly
                 tail = eng.theta_k_delta(k - l).poly if k > l else eng.one()
-                rhs = eng.theta_k_delta(k + l).poly + eng.y_monomial(
-                    eng.data.delta.scale(l)
+                rhs = eng.theta_k_delta(k + l).poly + tropical_monomial(
+                    eng.ctx, eng.data.delta.scale(l).coords
                 ) * tail
                 assert lhs == rhs
 
@@ -143,8 +149,11 @@ def test_pointed_form_matches_laurent_products():
         eng = ThetaEngine(cli.load_matrix(name).top())
         if not eng.tubes:
             continue
-        tube, one, y = eng.tubes[0], eng.one(), eng.y_monomial
+        tube, one = eng.tubes[0], eng.one()
         k = tube.size
+
+        def y(beta, coeff=1):
+            return tropical_monomial(eng.ctx, beta.coords, coeff)
 
         def arc(start, length):
             if length == 0:
@@ -201,7 +210,7 @@ def _reference_poly_sum(eng, terms):
     """sum c y^gamma theta as a LaurentPoly, built term by term."""
     out = LaurentPoly.zero(eng.ctx)
     for c, gamma, theta in terms:
-        piece = eng.y_monomial(RootVec((0,) * eng.n) if gamma is None else gamma, c)
+        piece = tropical_monomial(eng.ctx, (0,) * eng.n if gamma is None else gamma.coords, c)
         out = out + (piece if theta is None else piece * theta.poly)
     return out
 
@@ -227,7 +236,7 @@ def _reference_expand_product(eng, a, b):
         remainder = remainder - coeff * eng.theta_by_label(kappa).poly
         combo[kappa] = combo.get(kappa, LaurentPoly.zero(eng.ctx)) + coeff
 
-    for kappa in eng.dominance_chain(a.label + b.label):
+    for kappa in dominance_chain(eng, a.label + b.label):
         if not remainder:
             break
         peel(kappa)
@@ -364,13 +373,13 @@ def test_expand_product_imag_general():
                 combo = eng.expand_product(eng.theta_k_delta(k), eng.theta_k_delta(l))
                 if k == l:
                     assert set(combo) == {nu.scale(2 * k), WeightVec((0,) * eng.n)}
-                    assert combo[WeightVec((0,) * eng.n)] == eng.y_monomial(
-                        eng.data.delta.scale(k), 2
+                    assert combo[WeightVec((0,) * eng.n)] == tropical_monomial(
+                        eng.ctx, eng.data.delta.scale(k).coords, 2
                     )
                 else:
                     assert set(combo) == {nu.scale(k + l), nu.scale(k - l)}
-                    assert combo[nu.scale(k - l)] == eng.y_monomial(
-                        eng.data.delta.scale(l)
+                    assert combo[nu.scale(k - l)] == tropical_monomial(
+                        eng.ctx, eng.data.delta.scale(l).coords
                     )
                 assert combo[nu.scale(k + l)] == eng.one()
 
@@ -406,7 +415,7 @@ def test_expand_product_support_on_dominance_chain():
         ):
             continue
         combo = eng.expand_product(a, b)
-        chain = eng.dominance_chain(a.label + b.label)
+        chain = dominance_chain(eng, a.label + b.label)
         assert set(combo) <= set(chain)
         checked += 1
     assert checked > 10
@@ -414,8 +423,6 @@ def test_expand_product_support_on_dominance_chain():
 
 def test_expand_product_closure_in_wall():
     # closure: any product of d_infinity thetas expands inside d_infinity
-    from affcluster.affine import weight_in_imaginary_wall
-
     eng = ThetaEngine(B_A3T)
     tube = eng.tubes[0]
     gens = [eng.theta_tube_root(r) for r in all_arcs(tube)]
@@ -449,8 +456,8 @@ def test_imaginary_exchange_size2_reduces_to_three_terms():
     )
     rhs = (
         eng.theta_delta().poly
-        + eng.y_monomial(tube.orbit[0])
-        + eng.y_monomial(tube.orbit[1])
+        + tropical_monomial(eng.ctx, tube.orbit[0].coords)
+        + tropical_monomial(eng.ctx, tube.orbit[1].coords)
     )
     assert lhs == rhs
 
@@ -476,8 +483,8 @@ def test_identities_survive_coefficient_specialization():
     )
     rhs = (
         eng.theta_delta().poly
-        + eng.y_monomial(tube.orbit[0])
-        + eng.y_monomial(tube.orbit[1])
+        + tropical_monomial(eng.ctx, tube.orbit[0].coords)
+        + tropical_monomial(eng.ctx, tube.orbit[1].coords)
     )
     assert eng.specialize_coefficient_free(lhs) == eng.specialize_coefficient_free(rhs)
 
