@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -33,10 +34,6 @@ class NotAcyclic(ValueError):
 
 class NotAffineType(ValueError):
     """The Cartan counterpart is not of affine type."""
-
-
-class HeightBoundTooSmall(RuntimeError):
-    """Root enumeration was truncated before the tubes closed up."""
 
 
 class SimplesMismatch(RuntimeError):
@@ -139,21 +136,6 @@ def _rref(
     return m, pivots, prev, det
 
 
-def _proper_minors_positive(a: Rows) -> bool:
-    """Whether all proper principal minors of the symmetrizable a are positive.
-    D a is symmetric for a positive diagonal D, so by Sylvester's criterion it
-    suffices that each a without row and column i has positive leading
-    principal minors: n(n-1) determinants rather than 2^n - 2."""
-    n = len(a)
-    for i in range(n):
-        rest = [j for j in range(n) if j != i]
-        for size in range(1, n):
-            lead = rest[:size]
-            if _rref([[a[r][c] for c in lead] for r in lead])[3] <= 0:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class AffineData:
     """Everything derived from an acyclic affine exchange matrix."""
@@ -184,6 +166,7 @@ class AffineData:
             v = self.reflect_root(r, v)
         return v
 
+    @cached_property
     def coxeter_matrix(self) -> Rows:
         """The matrix of c on simple-root coordinates: column j is c(alpha_j)."""
         n = self.n
@@ -235,7 +218,13 @@ class AffineData:
 
 
 def build_affine_data(matrix) -> AffineData:
-    """Certify acyclicity and affine type, compute delta, forms and c."""
+    """Certify acyclicity and affine type, compute delta, forms and c.
+
+    Affine type is Cartan corank 1 with a strictly positive kernel vector:
+    such a matrix is indecomposable (a decomposable one would have a kernel
+    vector per block), and an indecomposable generalized Cartan matrix with
+    a positive null vector is affine (Kac, Infinite-dimensional Lie
+    algebras, Cor. 4.3)."""
     if isinstance(matrix, ExtendedExchangeMatrix):
         b = matrix.top()
     else:
@@ -247,8 +236,6 @@ def build_affine_data(matrix) -> AffineData:
     reduced, pivots, denom, det = _rref(a)
     if det != 0:
         raise NotAffineType("Cartan determinant is nonzero")
-    if not _proper_minors_positive(a):
-        raise NotAffineType("a proper principal minor is not positive")
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         raise NotAffineType("Cartan corank is not 1")
@@ -274,7 +261,7 @@ def build_affine_data(matrix) -> AffineData:
     data = AffineData(
         b=b, cartan=a, e=e, order=order, delta=delta, e_c=e_c, e_cinv=e_cinv,
     )
-    cox = data.coxeter_matrix()
+    cox = data.coxeter_matrix
     # Howlett: E_{c^{-1}} * M_c = -E_c, and c fixes delta.
     for i in range(n):
         for j in range(n):
@@ -288,24 +275,26 @@ def build_affine_data(matrix) -> AffineData:
 
 # -- positive real roots and tubes -------------------------------------------
 
-def positive_real_roots(data: AffineData, max_height: int) -> List[RootVec]:
-    """All positive real roots of height <= max_height, by reflection closure.
+def positive_real_roots(data: AffineData, bound: Sequence[int]) -> List[RootVec]:
+    """All positive real roots v <= bound componentwise, by reflection closure.
 
     A reflection s_r changes only coordinate r, by minus the pairing of the
-    root with the simple coroot r; pairing 0 leaves the root fixed."""
+    root with the simple coroot r.  Every positive real root falls to a simple
+    root by reflections that each lower one coordinate, so the reverse chain
+    climbs to it through roots below it: the closure of the simple roots in
+    the box under the raising reflections is every root in the box."""
     n = data.n
     # the nonzero entries of each Cartan row
     rows = [[(i, x) for i, x in enumerate(row) if x] for row in data.cartan]
-    frontier = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    frontier = [tuple(int(j == i) for j in range(n)) for i in range(n) if bound[i] >= 1]
     seen: Set[Tuple[int, ...]] = set(frontier)
     out = list(frontier)
     while frontier:
         nxt: List[Tuple[int, ...]] = []
         for v in frontier:
-            height = sum(v)
             for r in range(n):
                 pairing = sum(x * v[i] for i, x in rows[r])
-                if not pairing or v[r] < pairing or height - pairing > max_height:
+                if pairing >= 0 or v[r] - pairing > bound[r]:
                     continue
                 w = v[:r] + (v[r] - pairing,) + v[r + 1 :]
                 if w not in seen:
@@ -339,54 +328,43 @@ class TubeRoot:
 
 
 def detect_tubes(data: AffineData) -> List[Tube]:
-    """Find the tube-simples orbits: finite c-orbits of positive real roots
-    of height at most 4 ht(delta) summing to delta.  Returns 0 to 3 tubes,
-    each of size >= 2, whose sizes r_i satisfy sum(r_i - 1) = n - 2."""
-    max_height = 4 * data.delta.height()
+    """Find the tube-simples orbits: c-orbits of positive real roots summing
+    to delta.  Such an orbit has at least two members, so each lies strictly
+    below delta and pairs to zero with it under omega_c; the orbits are
+    walked inside that finite set Q.  Returns 0 to 3 tubes, each of size
+    >= 2, whose sizes r_i satisfy sum(r_i - 1) = n - 2 (Dlab-Ringel)."""
     n = data.n
     # lcm(e) * omega_c(delta, .) as an integer row vector
     scale = lcm(*data.e)
     weights = [scale // ei * di for ei, di in zip(data.e, data.delta.coords)]
     omega_delta = [sum(w * row[j] for w, row in zip(weights, data.b)) for j in range(n)]
     # the Coxeter matrix, each row as its nonzero entries
-    cox = [[(j, x) for j, x in enumerate(row) if x] for row in data.coxeter_matrix()]
+    cox = [[(j, x) for j, x in enumerate(row) if x] for row in data.coxeter_matrix]
 
     def coxeter(v: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(sum(x * v[j] for j, x in row) for row in cox)
 
-    roots = positive_real_roots(data, max_height)
+    roots = positive_real_roots(data, data.delta.coords)
     qualifying = [v.coords for v in roots if not sum(map(mul, omega_delta, v.coords))]
+    in_q = set(qualifying)
     seen: Set[Tuple[int, ...]] = set()
-    orbits: List[List[RootVec]] = []
-    cap = 64 * max_height * n + 64
+    orbits: List[Tuple[Tuple[int, ...], ...]] = []
     for v in qualifying:
         if v in seen:
             continue
+        # c is injective and Q finite, so a walk that stays in Q returns to
+        # v; a walk that leaves Q is no tube orbit
         orbit = [v]
         cur = coxeter(v)
-        steps = 0
-        while cur != v:
-            if min(cur) < 0:
-                raise HeightBoundTooSmall("orbit left the positive cone (truncated data)")
+        while cur != v and cur in in_q:
             orbit.append(cur)
             cur = coxeter(cur)
-            steps += 1
-            if steps > cap:
-                raise HeightBoundTooSmall("orbit failed to close")
         seen.update(orbit)
-        orbits.append([RootVec(w) for w in orbit])
-    tubes: List[Tube] = []
-    for orbit in orbits:
-        total = orbit[0]
-        for w in orbit[1:]:
-            total = total + w
-        if total != data.delta:
-            continue
-        base = min(range(len(orbit)), key=lambda i: orbit[i].coords)
-        cyc = tuple(orbit[(base + i) % len(orbit)] for i in range(len(orbit)))
-        tubes.append(Tube(index=0, orbit=cyc))
-    tubes.sort(key=lambda t: (t.size, t.orbit[0].coords))
-    tubes = [Tube(index=i, orbit=t.orbit) for i, t in enumerate(tubes)]
+        if cur == v and tuple(map(sum, zip(*orbit))) == data.delta.coords:
+            base = orbit.index(min(orbit))
+            orbits.append(tuple(orbit[base:] + orbit[:base]))
+    orbits.sort(key=lambda o: (len(o), o[0]))
+    tubes = [Tube(index=i, orbit=tuple(map(RootVec, o))) for i, o in enumerate(orbits)]
     sizes = [t.size for t in tubes]
     if sum(sizes) - len(sizes) != n - 2:
         raise SimplesMismatch(

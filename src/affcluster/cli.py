@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence
 
 from . import gca, scatter2
 from .affine import (
-    HeightBoundTooSmall,
     NotAcyclic,
     NotAffineType,
     NotInImaginaryWall,
@@ -310,7 +309,7 @@ def cmd_gca_verify(args) -> int:
 IDENTITIES = ["thetaxi", "cheby", "imexch", "realexch", "expansion", "tube-closure"]
 
 
-def run_identity(eng: ThetaEngine, name: str, kmax: int = 4) -> List[str]:
+def run_identity(eng: ThetaEngine, name: str, kmax: int) -> List[str]:
     """Run one identity family; returns failure descriptions (empty = pass)."""
     failures: List[str] = []
     if name == "thetaxi":
@@ -529,9 +528,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except IdentityViolated as exc:
         print(f"identity violated: {exc}", file=sys.stderr)
         return 1
-    except (
-        NotAcyclic, NotAffineType, NotFound, NotInImaginaryWall, HeightBoundTooSmall, SimplesMismatch
-    ) as exc:
+    except (NotAcyclic, NotAffineType, NotFound, NotInImaginaryWall, SimplesMismatch) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -185,7 +185,7 @@ def _column_entries(
 
 
 def build_tube_seed(
-    tubes: Sequence[Tube], labels: Iterable[TubeRoot], gctx: Optional[GCAContext] = None
+    tubes: Sequence[Tube], labels: Iterable[TubeRoot]
 ) -> Tuple[GCASeed, Tuple[TubeRoot, ...]]:
     """Generalized seed for a maximal compatible set of arcs.
 
@@ -198,8 +198,7 @@ def build_tube_seed(
         by_tube.setdefault(r.tube, []).append(r)
     used_tubes = [t for t in tubes if t.index in by_tube]
     checked = {t.index: check_maximal(t, by_tube[t.index]) for t in used_tubes}
-    if gctx is None:
-        gctx = gca_context(used_tubes, len(ordered))
+    gctx = gca_context(used_tubes, len(ordered))
     x = tuple(LaurentPoly.var(gctx.ctx, i) for i in range(len(ordered)))
     cols: List[Dict[TubeRoot, int]] = []
     ps: List[Tuple[TropMonomial, ...]] = []
@@ -331,7 +330,7 @@ def enumerate_exchange_graph(
             wid = index.setdefault(frozenset(labs2), len(graph.vertices))
             if wid == len(graph.vertices):
                 s2 = gca_mutate(s, k)
-                built, order = build_tube_seed(tubes, labs2, s.gctx)
+                built, order = build_tube_seed(tubes, labs2)
                 moved = _relabeled(s2, labs2, order)
                 if (moved.p, moved.b, moved.d) != (built.p, built.b, built.d):
                     raise AssertionError("mutated seed disagrees with the seed built from its arcs")

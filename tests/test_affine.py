@@ -5,13 +5,12 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from operator import mul
+from operator import le, mul
 
 import pytest
 
 from affcluster import cli, theta
 from affcluster.affine import (
-    HeightBoundTooSmall,
     NegativeInput,
     NotAcyclic,
     NotAffineType,
@@ -20,7 +19,6 @@ from affcluster.affine import (
     SimplesMismatch,
     Tube,
     TubeRoot,
-    _proper_minors_positive,
     _rref,
     all_arcs,
     arc_support,
@@ -237,7 +235,9 @@ def _reference_positive_real_roots(data, height_bound):
 
 
 def _reference_tube_orbits(data, height_bound=None):
-    """The tube orbits by omega_form in Fraction and Coxeter steps on RootVec."""
+    """The orbits that sum to delta, by omega_form in Fraction and Coxeter
+    steps on RootVec from the roots of height at most 4 ht(delta); the
+    caller checks them against the tube count."""
     if height_bound is None:
         height_bound = 4 * data.delta.height()
     roots = _reference_positive_real_roots(data, height_bound)
@@ -250,7 +250,7 @@ def _reference_tube_orbits(data, height_bound=None):
         cur = data.coxeter_root(v)
         while cur != v:
             if min(cur.coords) < 0:
-                raise HeightBoundTooSmall("orbit left the positive cone (truncated data)")
+                raise AssertionError("orbit left the positive cone (truncated data)")
             orbit.append(cur)
             cur = data.coxeter_root(cur)
         seen.update(w.coords for w in orbit)
@@ -261,11 +261,6 @@ def _reference_tube_orbits(data, height_bound=None):
             continue
         base = min(range(len(orbit)), key=lambda i: orbit[i].coords)
         tubes.append(tuple(orbit[(base + i) % len(orbit)] for i in range(len(orbit))))
-    if orbits and not tubes:
-        raise SimplesMismatch(
-            "finite Coxeter orbits found, but none sums to delta; "
-            "the tube-simples criterion does not apply to this matrix"
-        )
     return sorted(tubes, key=lambda t: (len(t), t[0].coords))
 
 
@@ -388,13 +383,45 @@ AFFINE_TYPES = {
 }
 
 
-def test_setup_matches_fraction_reference_on_fixtures():
-    for name, b in _fixtures().items():
+def _dual(b):
+    """-B^T, whose Cartan counterpart is the transpose of B's."""
+    return tuple(tuple(-row[i] for row in b) for i in range(len(b)))
+
+
+def _check_tubes_against_reference(data):
+    """detect_tubes against the height-bound reference: the reference's
+    orbits where their sizes r_i satisfy sum(r_i - 1) = n - 2, and
+    SimplesMismatch where they miss it."""
+    ref = _reference_tube_orbits(data)
+    if sum(len(t) - 1 for t in ref) == data.n - 2:
+        assert [t.orbit for t in detect_tubes(data)] == ref
+    else:
+        with pytest.raises(SimplesMismatch):
+            detect_tubes(data)
+
+
+def test_setup_matches_fraction_reference_on_fixtures(rng):
+    """delta, the box closure and the tubes against the Fraction and
+    height-bound references, on the fixtures and AFFINE_TYPES in B and -B^T
+    form, on A(p,1) for p = 2..7 and on random affine draws.  The box
+    closure is checked at delta, where detect_tubes reads it, and at a
+    random bound."""
+    named = [*_fixtures().items(), *((name, b) for name, (b, _, _) in AFFINE_TYPES.items())]
+    forms = [*named, *((f"{name}^T", _dual(b)) for name, b in named)]
+    forms += [(f"A({p},1)", _cycle(p)) for p in range(2, 8)]
+    forms += [("draw", b) for b in _affine_draws(rng)]
+    for name, b in forms:
         data = build_affine_data(b)
         assert data.delta == _reference_delta(b), name
-        bound = 4 * data.delta.height()
-        assert positive_real_roots(data, bound) == _reference_positive_real_roots(data, bound)
-        assert [t.orbit for t in detect_tubes(data)] == _reference_tube_orbits(data), name
+        random_bound = tuple(rng.randint(0, 2 * d) for d in data.delta.coords)
+        for bound in (data.delta.coords, random_bound):
+            box = [
+                v
+                for v in _reference_positive_real_roots(data, sum(bound))
+                if all(map(le, v.coords, bound))
+            ]
+            assert positive_real_roots(data, bound) == box, (name, bound)
+        _check_tubes_against_reference(data)
 
 
 @pytest.mark.parametrize("name", sorted(AFFINE_TYPES))
@@ -421,7 +448,7 @@ def test_tube_sizes_satisfy_the_tube_count(name, tmp_path, capsys):
     """sum(r_i - 1) = n - 2 over the tube sizes r_i, in B and -B^T form, or
     SimplesMismatch, which the CLI reports with exit 2."""
     b = AFFINE_TYPES[name][0] if name in AFFINE_TYPES else cli.load_matrix(name).top()
-    dual = tuple(tuple(-row[i] for row in b) for i in range(len(b)))
+    dual = _dual(b)
     assert sum(t.size - 1 for t in detect_tubes(build_affine_data(b))) == len(b) - 2
     if name not in _DUALS_REFUSED:
         assert sum(t.size - 1 for t in detect_tubes(build_affine_data(dual))) == len(b) - 2
@@ -516,16 +543,58 @@ def _random_symmetrizable_cartan(rng):
     return tuple(map(tuple, a))
 
 
-def test_minor_certificate_matches_all_subsets(rng):
-    """The n(n-1) Sylvester determinants against all 2^n - 2 proper principal
-    minors, on random symmetrizable Cartan matrices and on every type here."""
-    verdicts = set()
-    for _ in range(400):
-        a = _random_symmetrizable_cartan(rng)
-        verdict = _reference_minors_positive(a)
-        assert _proper_minors_positive(a) == verdict, a
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
+def _random_acyclic_b(rng):
+    """A random acyclic skew-symmetrizable exchange matrix, n = 2..6, with
+    every arrow from i to j > i: b_ij = -a_ij and b_ji = a_ji for the
+    Cartan matrix a of _random_symmetrizable_cartan."""
+    a = _random_symmetrizable_cartan(rng)
+    n = len(a)
+    return tuple(
+        tuple(0 if i == j else -a[i][j] if i < j else a[i][j] for j in range(n))
+        for i in range(n)
+    )
+
+
+def _affine_draws(rng, count=1000):
+    """The draws of _random_acyclic_b that build_affine_data accepts."""
+    draws = []
+    for _ in range(count):
+        b = _random_acyclic_b(rng)
+        try:
+            build_affine_data(b)
+        except NotAffineType:
+            continue
+        draws.append(b)
+    return draws
+
+
+def _affine_verdicts(b):
+    """delta by build_affine_data and by the all-minors reference, each None
+    on a NotAffineType reject."""
+    try:
+        got = build_affine_data(b).delta
+    except NotAffineType:
+        got = None
+    try:
+        want = _reference_delta(b)
+    except NotAffineType:
+        want = None
+    return got, want
+
+
+def test_affine_verdict_matches_all_minors(rng):
+    """The certificate "Cartan corank 1 and a strictly positive kernel
+    vector" against all 2^n - 2 proper principal minors in Fraction: the
+    same accept or reject and the same delta, on random acyclic
+    skew-symmetrizable B and on every type here.  The draws include an
+    accept, a det != 0 reject and a det-0 reject."""
+    kinds = set()
+    for _ in range(1000):
+        b = _random_acyclic_b(rng)
+        got, want = _affine_verdicts(b)
+        assert got == want, b
+        kinds.add("accept" if want else "det-0" if not _rref(cartan_matrix(b))[3] else "det")
+    assert kinds == {"accept", "det", "det-0"}
     types = [*_fixtures().values(), *(b for b, _, _ in AFFINE_TYPES.values())]
     types += [B_KRON, B_41, B_A2T, B_A3T, B_A4T, B_C2T, B_A3T22]
     types += [((0, 1), (-4, 0)), ((0, 1), (-1, 0)), ((0, 3), (-3, 0))]
@@ -533,10 +602,12 @@ def test_minor_certificate_matches_all_subsets(rng):
         ((0, 1, 0), (-1, 0, 1), (0, -1, 0)),
         ((0, 2, 2), (-2, 0, 2), (-2, -2, 0)),
         ((0, 1, 0), (-3, 0, 1), (0, -1, 0)),
+        ((0, 0, 2), (0, 0, 0), (-2, 0, 0)),
+        ((0, 0, 0, 3), (0, 0, 3, 0), (0, -2, 0, 1), (-2, 0, -1, 0)),
     ]
     for b in types:
-        a = cartan_matrix(b)
-        assert _proper_minors_positive(a) == _reference_minors_positive(a), b
+        got, want = _affine_verdicts(b)
+        assert got == want, b
 
 
 def test_build_affine_data_decides_the_symmetrizer_once(monkeypatch):
@@ -684,7 +755,7 @@ def test_coxeter_shifts_tube_orbits():
 
 def test_positive_roots_kronecker():
     data = build_affine_data(B_KRON)
-    roots = {v.coords for v in positive_real_roots(data, 5)}
+    roots = {v.coords for v in positive_real_roots(data, (3, 3))}
     assert (1, 0) in roots and (0, 1) in roots
     assert (2, 1) in roots and (1, 2) in roots and (3, 2) in roots
     assert (1, 1) not in roots and (2, 2) not in roots  # imaginary
@@ -699,10 +770,10 @@ def test_tubes_brute_force_a2t():
     data = build_affine_data(B_A2T)
     tubes = detect_tubes(data)
     assert len(tubes) == 1 and tubes[0].size == 2
-    # brute force over all positive real roots of height <= 3 height(delta):
-    # the orbit sums to delta and each element pairs to zero with delta
+    # brute force over all positive real roots below 3 delta: the orbit sums
+    # to delta and each element pairs to zero with delta
     seen = set()
-    for v in positive_real_roots(data, 3 * data.delta.height()):
+    for v in positive_real_roots(data, data.delta.scale(3).coords):
         if omega_form(data, data.delta, v) == 0:
             seen.add(v.coords)
     assert {v.coords for v in tubes[0].orbit} <= seen

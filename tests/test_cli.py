@@ -7,6 +7,7 @@ import pytest
 from affcluster import cli
 from affcluster.cli import main
 from affcluster.poly import NotPointed
+from affcluster.seeds import principal_extension
 from affcluster.theta import ThetaEngine
 
 
@@ -75,7 +76,7 @@ def test_inconsistent_matrix_file_exits_2(tmp_path, capsys, text, reason):
 
 
 def test_tube_info_has_no_height_bound():
-    # tubes are always found among the roots of height <= 4 ht(delta)
+    # tubes are always found among the roots below delta
     with pytest.raises(SystemExit) as exc:
         main(["tube-info", "--matrix", "a2t", "--height-bound", "5"])
     assert exc.value.code == 2
@@ -108,7 +109,7 @@ def test_verify_refuses_an_unknown_identity_before_any_engine(monkeypatch, capsy
 
 def test_run_identity_refuses_an_unknown_identity():
     with pytest.raises(cli.ConfigError, match="unknown identity bogus"):
-        cli.run_identity(ThetaEngine(cli.load_matrix("a2t").top()), "bogus")
+        cli.run_identity(ThetaEngine(cli.load_matrix("a2t").top()), "bogus", kmax=4)
 
 
 def test_report_a1t_deterministic(capsys):
@@ -220,10 +221,19 @@ def test_tube_info(capsys):
 
 
 def test_non_affine_matrix_exits_2(tmp_path, capsys):
-    path = tmp_path / "finite.json"
-    path.write_text('{"n": 2, "m": 2, "rows": [[0,1],[-1,0],[1,0],[0,1]]}')
-    code, _ = run(capsys, "report", "--matrix", str(path))
-    assert code == 2
+    path = tmp_path / "not_affine.json"
+    for b, message in [
+        ([[0, 1], [-1, 0]], "Cartan determinant is nonzero"),
+        # Kronecker + A1
+        ([[0, 0, 2], [0, 0, 0], [-2, 0, 0]], "kernel vector is not strictly positive"),
+        # Kronecker + Kronecker
+        ([[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]], "Cartan corank is not 1"),
+        # connected, with a kernel vector of mixed sign
+        ([[0, 0, 0, 3], [0, 0, 3, 0], [0, -2, 0, 1], [-2, 0, -1, 0]], "kernel vector is not strictly positive"),
+    ]:
+        path.write_text(json.dumps(cli.matrix_json(principal_extension(b))))
+        assert main(["report", "--matrix", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -526,7 +526,7 @@ def test_theta_imaginary_runs_once_per_label(monkeypatch):
     monkeypatch.setattr(ThetaEngine, "theta_imaginary", counted)
     eng = ThetaEngine(cli.load_matrix("a4t").top())
     for name in cli.IDENTITIES:
-        assert cli.run_identity(eng, name) == [], name
+        assert cli.run_identity(eng, name, kmax=4) == [], name
     assert calls
     assert len(calls) == len(set(calls))
 
