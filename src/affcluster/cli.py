@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from importlib import resources
 from typing import Dict, List, Optional, Sequence
@@ -75,11 +76,27 @@ def matrix_json(matrix: ExtendedExchangeMatrix) -> dict:
     return {"n": matrix.n, "m": matrix.m, "rows": [list(r) for r in matrix.rows]}
 
 
+# every integer on the command line: ASCII digits with an optional '-', spaces
+# around allowed (int() alone also takes '1_0' and non-ASCII digits)
+_INT = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
+
+
+def parse_int(text: str) -> int:
+    if _INT.fullmatch(text) is None:
+        raise ConfigError(f"bad integer: {text}")
+    return int(text)
+
+
+def _parse_ints(text: str) -> List[int]:
+    """Comma-separated integers, none empty; a blank text is no integers."""
+    return [parse_int(t) for t in text.split(",")] if text.strip() else []
+
+
 def parse_word(text: str, n: int) -> List[int]:
     """0-based mutation indices from a comma-separated 1-based word."""
     try:
-        word = [int(t) - 1 for t in text.split(",") if t.strip()]
-    except ValueError as exc:
+        word = [k - 1 for k in _parse_ints(text)]
+    except ConfigError as exc:
         raise ConfigError(f"bad mutation word: {text}") from exc
     if any(k < 0 for k in word):
         raise ConfigError("mutation indices are 1-based")
@@ -92,8 +109,8 @@ def parse_word(text: str, n: int) -> List[int]:
 def parse_vec(text: str, n: int) -> List[int]:
     """A comma-separated integer vector with exactly n coordinates."""
     try:
-        vec = [int(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
+        vec = _parse_ints(text)
+    except ConfigError as exc:
         raise ConfigError(f"bad vector: {text}") from exc
     if len(vec) != n:
         raise ConfigError(f"vector {text} must have {n} coordinates")
@@ -182,8 +199,8 @@ def _parse_target(eng: ThetaEngine, text: str) -> WeightVec:
     if text.endswith("delta"):
         head = text[: -len("delta")].rstrip("* ")
         try:
-            k = int(head) if head else 1
-        except ValueError as exc:
+            k = parse_int(head) if head else 1
+        except ConfigError as exc:
             raise ConfigError(f"bad target: {text}") from exc
         return eng.nu_delta.scale(k)
     return WeightVec(tuple(parse_vec(text, eng.n)))
@@ -451,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matrix", required=True, help="path or bundled name: %s" % ",".join(BUNDLED))
         p.add_argument("--format", choices=["json", "text"], default="text")
         if order:
-            p.add_argument("--order", type=int, default=8)
+            p.add_argument("--order", type=parse_int, default=8)
 
     p = sub.add_parser("mutate", help="mutate an extended exchange matrix")
     common(p)
@@ -482,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gca-graph", help="exchange graph of a tube's generalized seed")
     common(p)
-    p.add_argument("--tube", type=int, default=0)
+    p.add_argument("--tube", type=parse_int, default=0)
     p.add_argument("--json", dest="json_out", default=None)
 
     p = sub.add_parser("gca-verify", help="verify tube generalized cluster algebras")
@@ -492,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--identity", default="all", choices=IDENTITIES + ["all"])
     p.add_argument(
-        "--kmax", type=int, default=4,
+        "--kmax", type=parse_int, default=4,
         help="largest multiple of the imaginary ray in the product identities (at least 2); "
         "the cheby family builds theta up to 2*kmax*delta, so at 4 d4t takes about a second "
         "but e6t runs for more than five minutes (about 4 s at 2)",
@@ -517,11 +534,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     propagates with its traceback."""
     if not _PARSER:
         _PARSER.append(build_parser())
-    args = _PARSER[0].parse_args(argv)
-    # the handler is looked up when it runs, so a replaced cmd_* is the one called
-    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        # parse_int, the type of the integer options, raises ConfigError
+        args = _PARSER[0].parse_args(argv)
+        # the handler is looked up when it runs, so a replaced cmd_* is the one called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -2,10 +2,11 @@
 generalized seeds attached to tubes, exchange-graph enumeration, and the
 substitution check mapping them onto theta-function identities.
 
-Coefficients live in the tropical semifield on variables {z_beta} + {z_star}:
-Laurent monomials under multiplication, componentwise minimum as addition.
-Cluster variables are Laurent polynomials over the semifield group ring,
-realized in a poly.VarContext whose tropical slots are the z variables.
+Coefficients live in the tropical semifield on variables {z_beta} + {z_star}.
+A coefficient is its exponent vector over the seed's z slots (GCAContext.zkeys,
+the tropical slots of the poly.VarContext in which the cluster variables are
+Laurent polynomials): the product is the vector sum and the tropical sum the
+componentwise minimum.
 
 A tube seed's exchange graph has one vertex per maximal compatible arc set,
 and the arc set is the vertex's key.  The search mutates each edge once and
@@ -17,7 +18,7 @@ exchange partner off the graph's edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .affine import (
     Tube,
@@ -32,78 +33,19 @@ from .poly import LaurentPoly, NonInvertibleImage, VarContext, exact_div
 from .seeds import RootVec, Rows, mutate_rows
 
 ZKey = Tuple  # ("z", tube_index, orbit_position) or ("star",)
-
-
-@dataclass(frozen=True)
-class TropMonomial:
-    """Laurent monomial in tropical variables; exponents keyed by variable."""
-
-    exps: Tuple[Tuple[ZKey, int], ...]
-
-    @staticmethod
-    def make(mapping: Mapping[ZKey, int] = ()) -> "TropMonomial":
-        items = tuple(sorted((k, v) for k, v in dict(mapping).items() if v != 0))
-        return TropMonomial(items)
-
-    @staticmethod
-    def one() -> "TropMonomial":
-        return TropMonomial(())
-
-    def as_dict(self) -> Dict[ZKey, int]:
-        return dict(self.exps)
-
-    def __mul__(self, other: "TropMonomial") -> "TropMonomial":
-        out = self.as_dict()
-        for k, v in other.exps:
-            out[k] = out.get(k, 0) + v
-        return TropMonomial.make(out)
-
-    def __truediv__(self, other: "TropMonomial") -> "TropMonomial":
-        out = self.as_dict()
-        for k, v in other.exps:
-            out[k] = out.get(k, 0) - v
-        return TropMonomial.make(out)
-
-    def __pow__(self, k: int) -> "TropMonomial":
-        return TropMonomial.make({key: k * v for key, v in self.exps})
-
-    def is_one(self) -> bool:
-        return not self.exps
-
-
-def trop_add(a: TropMonomial, b: TropMonomial) -> TropMonomial:
-    """Tropical addition: componentwise minimum of exponent vectors."""
-    keys = {k for k, _ in a.exps} | {k for k, _ in b.exps}
-    da, db = a.as_dict(), b.as_dict()
-    return TropMonomial.make({k: min(da.get(k, 0), db.get(k, 0)) for k in keys})
-
-
-def z_of_arc(tube: Tube, r: Optional[TubeRoot]) -> TropMonomial:
-    """z^phi: the product of z_beta over the support of the arc (1 if None)."""
-    if r is None:
-        return TropMonomial.one()
-    return TropMonomial.make({("z", tube.index, t): 1 for t in arc_support(tube, r)})
-
-
-def z_single(tube: Tube, orbit_pos: int) -> TropMonomial:
-    return TropMonomial.make({("z", tube.index, orbit_pos % tube.size): 1})
+ZExp = Tuple[int, ...]  # a coefficient: its exponents over GCAContext.zkeys
 
 
 @dataclass(frozen=True)
 class GCAContext:
-    """Variable layout for generalized-seed cluster variables."""
+    """Variable layout for generalized-seed cluster variables.  A coefficient
+    is a tuple of ints over zkeys: the tropical tail of an exponent in ctx."""
 
     ctx: VarContext
     zkeys: Tuple[ZKey, ...]
 
-    def zpos(self, key: ZKey) -> int:
-        return self.ctx.n + self.zkeys.index(key)
-
-    def monomial(self, m: TropMonomial, coeff: int = 1) -> LaurentPoly:
-        e = [0] * self.ctx.nvars
-        for key, v in m.exps:
-            e[self.zpos(key)] = v
-        return LaurentPoly.monomial(self.ctx, e, coeff)
+    def monomial(self, m: ZExp, coeff: int = 1) -> LaurentPoly:
+        return LaurentPoly.monomial(self.ctx, (0,) * self.ctx.n + m, coeff)
 
 
 def gca_context(tubes: Sequence[Tube], rank: int) -> GCAContext:
@@ -125,7 +67,7 @@ class GCASeed:
 
     gctx: GCAContext
     x: Tuple[LaurentPoly, ...]
-    p: Tuple[Tuple[TropMonomial, ...], ...]
+    p: Tuple[Tuple[ZExp, ...], ...]
     b: Rows
     d: Tuple[int, ...]
 
@@ -137,7 +79,7 @@ class GCASeed:
         for i in range(self.rank):
             if len(self.p[i]) != self.d[i] + 1:
                 raise AssertionError("coefficient tuple length != d+1")
-            if not trop_add(self.p[i][0], self.p[i][-1]).is_one():
+            if any(map(min, self.p[i][0], self.p[i][-1])):
                 raise AssertionError("normalization p_0 (+) p_d != 1 violated")
             for j in range(self.rank):
                 if self.b[j][i] % self.d[i] != 0:
@@ -148,9 +90,19 @@ class GCASeed:
                     raise AssertionError("halved matrix is not skew-symmetric")
 
 
+def _z(gctx: GCAContext, tube: Tube, arc: Optional[TubeRoot], pos: int) -> ZExp:
+    """z^arc z_pos: z_beta over the arc's support (none if None) times the
+    z_beta at orbit position pos."""
+    e = [0] * len(gctx.zkeys)
+    base = gctx.zkeys.index(("z", tube.index, 0))
+    for t in (*(arc_support(tube, arc) if arc is not None else ()), pos):
+        e[base + t % tube.size] += 1
+    return tuple(e)
+
+
 def _column_entries(
-    tube: Tube, js: int, gamma: TubeRoot
-) -> Tuple[Dict[TubeRoot, int], Tuple[TropMonomial, ...], int]:
+    gctx: GCAContext, tube: Tube, js: int, gamma: TubeRoot
+) -> Tuple[Dict[TubeRoot, int], Tuple[ZExp, ...], int]:
     """Column of B indexed by gamma, its coefficient tuple, and its degree;
     js is gamma's tube part of the labels, checked by check_maximal."""
     k = tube.size
@@ -162,13 +114,14 @@ def _column_entries(
         if info.phi_prime is not None:
             col[info.phi_prime] = -2
         p = (
-            z_of_arc(tube, info.phi_prime) * z_single(tube, info.beta_idx),
-            TropMonomial.make({("star",): 1}),
-            z_of_arc(tube, info.phi) * z_single(tube, info.beta_prime_idx),
+            _z(gctx, tube, info.phi_prime, info.beta_idx),
+            tuple(int(key == ("star",)) for key in gctx.zkeys),
+            _z(gctx, tube, info.phi, info.beta_prime_idx),
         )
         return col, p, 2
     info2 = nonmax_root_data(tube, js, gamma)
-    coeff = z_of_arc(tube, info2.phi2) * z_single(tube, info2.beta_prime_idx)
+    coeff = _z(gctx, tube, info2.phi2, info2.beta_prime_idx)
+    one = (0,) * len(coeff)
     col = {}
     sign = -1 if info2.gamma_owns_beta else 1
     for piece in (info2.phi, info2.phi2):
@@ -178,9 +131,9 @@ def _column_entries(
         if piece is not None:
             col[piece] = -sign
     if info2.gamma_owns_beta:
-        p2 = (coeff, TropMonomial.one())
+        p2 = (coeff, one)
     else:
-        p2 = (TropMonomial.one(), coeff)
+        p2 = (one, coeff)
     return col, p2, 1
 
 
@@ -201,11 +154,11 @@ def build_tube_seed(
     gctx = gca_context(used_tubes, len(ordered))
     x = tuple(LaurentPoly.var(gctx.ctx, i) for i in range(len(ordered)))
     cols: List[Dict[TubeRoot, int]] = []
-    ps: List[Tuple[TropMonomial, ...]] = []
+    ps: List[Tuple[ZExp, ...]] = []
     ds: List[int] = []
     tube_by_index = {t.index: t for t in tubes}
     for gamma in ordered:
-        col, p, deg = _column_entries(tube_by_index[gamma.tube], checked[gamma.tube], gamma)
+        col, p, deg = _column_entries(gctx, tube_by_index[gamma.tube], checked[gamma.tube], gamma)
         cols.append(col)
         ps.append(p)
         ds.append(deg)
@@ -253,7 +206,7 @@ def gca_mutate(seed: GCASeed, k: int) -> GCASeed:
     rank = seed.rank
     new_x = exact_div(_exchange_numerator(seed, k), seed.x[k])
     xs = tuple(new_x if i == k else v for i, v in enumerate(seed.x))
-    new_p: List[Tuple[TropMonomial, ...]] = []
+    new_p: List[Tuple[ZExp, ...]] = []
     for j in range(rank):
         if j == k:
             new_p.append(tuple(reversed(seed.p[k])))
@@ -263,19 +216,23 @@ def gca_mutate(seed: GCASeed, k: int) -> GCASeed:
             # the normalization p_0 (+) p_d = 1 leaves the row as it is
             new_p.append(seed.p[j])
             continue
-        dj, dk = seed.d[j], seed.d[k]
-        denom = trop_add(
-            seed.p[j][0] * seed.p[k][0] ** max(bkj, 0),
-            seed.p[j][dj] * seed.p[k][dk] ** max(-bkj, 0),
+        # vector sums: the product of monomials adds their exponents, and the
+        # tropical sum (the denominator) is their componentwise minimum
+        dj, pj = seed.d[j], seed.p[j]
+        pos, neg = max(bkj, 0), max(-bkj, 0)
+        first, last = seed.p[k][0], seed.p[k][seed.d[k]]
+        denom = tuple(
+            min(a + pos * f, b + neg * g) for a, b, f, g in zip(pj[0], pj[dj], first, last)
         )
-        row: List[TropMonomial] = []
+        row: List[ZExp] = []
         for ell in range(dj + 1):
-            e1 = (dj - ell) * max(bkj, 0)
-            e2 = ell * max(-bkj, 0)
-            if e1 % dj or e2 % dj:
+            e1, r1 = divmod((dj - ell) * pos, dj)
+            e2, r2 = divmod(ell * neg, dj)
+            if r1 or r2:
                 raise AssertionError("coefficient exponent not integral")
-            num = seed.p[j][ell] * seed.p[k][0] ** (e1 // dj) * seed.p[k][dk] ** (e2 // dj)
-            row.append(num / denom)
+            row.append(
+                tuple(a + e1 * f + e2 * g - m for a, f, g, m in zip(pj[ell], first, last, denom))
+            )
         new_p.append(tuple(row))
     new_b = mutate_rows(seed.b, k)
     out = GCASeed(seed.gctx, xs, tuple(new_p), new_b, seed.d)
@@ -323,16 +280,22 @@ def enumerate_exchange_graph(
     vid = 0
     while vid < len(graph.vertices):
         s, labs = graph.vertices[vid], graph.labels[vid]
+        checked = {
+            t: check_maximal(tube_by_index[t], [r for r in labs if r.tube == t])
+            for t in dict.fromkeys(r.tube for r in labs)
+        }
         for k, gamma in enumerate(labs):
-            tube = tube_by_index[gamma.tube]
-            js = check_maximal(tube, [r for r in labs if r.tube == gamma.tube])
-            labs2 = labs[:k] + (exchange_partner(tube, js, gamma),) + labs[k + 1 :]
+            partner = exchange_partner(tube_by_index[gamma.tube], checked[gamma.tube], gamma)
+            labs2 = labs[:k] + (partner,) + labs[k + 1 :]
             wid = index.setdefault(frozenset(labs2), len(graph.vertices))
             if wid == len(graph.vertices):
                 s2 = gca_mutate(s, k)
                 built, order = build_tube_seed(tubes, labs2)
                 moved = _relabeled(s2, labs2, order)
-                if (moved.p, moved.b, moved.d) != (built.p, built.b, built.d):
+                # a coefficient vector means nothing without its layout
+                if (moved.gctx, moved.p, moved.b, moved.d) != (
+                    built.gctx, built.p, built.b, built.d
+                ):
                     raise AssertionError("mutated seed disagrees with the seed built from its arcs")
                 graph.vertices.append(s2)
                 graph.labels.append(labs2)
@@ -347,12 +310,13 @@ def enumerate_exchange_graph(
     return graph
 
 
-def t_o_image(engine, m: TropMonomial):
+def t_o_image(engine, gctx: GCAContext, m: ZExp):
     """The homomorphism z_beta -> y^beta, z_star -> theta_{nu_c(delta)}, as
     a term (1, gamma, theta) of ThetaEngine.same: y^gamma times the pointed
-    product of the z_star powers of theta_{nu_c(delta)}."""
+    product of the z_star powers of theta_{nu_c(delta)}.  m is read in the
+    layout gctx.zkeys."""
     gamma, stars = RootVec((0,) * engine.n), 0
-    for key, v in m.exps:
+    for key, v in zip(gctx.zkeys, m):
         if key == ("star",):
             if v < 0:
                 raise NonInvertibleImage("negative power of theta_delta")
@@ -387,7 +351,7 @@ def t_o_check(engine, graph: ExchangeGraph) -> int:
         lhs = engine.multiply(engine.theta_tube_root(gamma), engine.theta_tube_root(gamma2))
         terms = [(1, None, lhs)]
         for ell, exps in enumerate(_exchange_exponents(s, k)):
-            c, shift, theta = t_o_image(engine, s.p[k][ell])
+            c, shift, theta = t_o_image(engine, s.gctx, s.p[k][ell])
             arcs = [engine.theta_tube_root(labels[psi]) for psi, e in exps.items() for _ in range(e)]
             terms.append((-c, shift, engine.product(t for t in (theta, *arcs) if t)))
         if engine._collect(terms):

@@ -253,6 +253,14 @@ def test_non_affine_matrix_exits_2(tmp_path, capsys):
         ("scatter2", "--matrix", "a2t", "--order", "2"),
         ("scatter2", "--matrix", "a1t22", "--order", "2", "--dump", "/nonexistent/x.json"),
         ("gca-graph", "--matrix", "a3t", "--json", "/nonexistent/x.json"),
+        # every integer is ASCII digits with an optional '-': no '_', no
+        # non-ASCII digit, no empty token
+        ("expand", "--matrix", "a2t", "--root", "\u0661,1,1"),
+        ("gvec", "--matrix", "a2t", "--word", "1,,2"),
+        ("gvec", "--matrix", "a2t", "--word", "0_1"),
+        ("scatter2", "--matrix", "a1t22", "--order", "1_2"),
+        ("verify", "--matrix", "a2t", "--identity", "cheby", "--kmax", "0_2"),
+        ("gca-graph", "--matrix", "a3t", "--tube", "0_0"),
     ],
 )
 def test_malformed_word_vector_or_index_exits_2(capsys, argv):

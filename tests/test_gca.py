@@ -8,13 +8,12 @@ import pytest
 
 from affcluster.affine import TubeRoot, fan, maximal_compatible_sets
 from affcluster.gca import (
-    TropMonomial,
     _exchange_numerator,
     build_tube_seed,
     enumerate_exchange_graph,
     gca_mutate,
     t_o_check,
-    trop_add,
+    t_o_image,
 )
 from affcluster.poly import ContextMismatch, NonInvertibleImage, from_json_dict, to_json_dict
 from affcluster.theta import IdentityViolated, ThetaEngine
@@ -32,34 +31,17 @@ B_A4T = (
 B_C2T = ((0, 1, 0), (-2, 0, 2), (0, -1, 0))
 
 
-def zm(**kw):
-    # keys like z0_1 -> ("z", 0, 1); s -> ("star",)
-    out = {}
+def zm(gctx, **kw):
+    # the exponent vector over gctx.zkeys; keys like z0_1 -> ("z", 0, 1), s -> ("star",)
+    exps = {}
     for name, v in kw.items():
         if name == "s":
-            out[("star",)] = v
+            exps[("star",)] = v
         else:
             o, t = name[1:].split("_")
-            out[("z", int(o), int(t))] = v
-    return TropMonomial.make(out)
-
-
-def test_trop_add_examples():
-    a = zm(z0_0=1, z0_1=2)
-    assert trop_add(a, a) == a
-    assert trop_add(TropMonomial.one(), zm(z0_0=1)) == TropMonomial.one()
-    # z_a z_b (+) z_a z_c = z_a (z_b (+) z_c)
-    ab = zm(z0_0=1, z0_1=1)
-    ac = zm(z0_0=1, z0_2=1)
-    assert trop_add(ab, ac) == zm(z0_0=1) * trop_add(zm(z0_1=1), zm(z0_2=1))
-
-
-def test_trop_group_ops():
-    a = zm(z0_0=2, s=1)
-    b = zm(z0_0=-1, z0_1=3)
-    assert (a * b) / b == a
-    assert a ** 3 == zm(z0_0=6, s=3)
-    assert (a / a).is_one()
+            exps[("z", int(o), int(t))] = v
+    assert set(exps) <= set(gctx.zkeys)
+    return tuple(exps.get(key, 0) for key in gctx.zkeys)
 
 
 def test_size2_seed_matches_figure_top_row():
@@ -69,7 +51,8 @@ def test_size2_seed_matches_figure_top_row():
     assert seed.d == (2,)
     assert seed.b == ((0,),)
     # phi = phi' = 0:  p = (z^beta, z_*, z^beta') for the two orbit elements
-    assert seed.p[0] == (zm(z0_1=1), zm(s=1), zm(z0_0=1))
+    g = seed.gctx
+    assert seed.p[0] == (zm(g, z0_1=1), zm(g, s=1), zm(g, z0_0=1))
 
 
 def test_size3_seed_matrix_and_coefficients():
@@ -80,8 +63,9 @@ def test_size3_seed_matrix_and_coefficients():
     assert labels == (TubeRoot(0, 1, 1), TubeRoot(0, 1, 2))
     assert seed.d == (1, 2)
     assert seed.b == ((0, 2), (-1, 0))
-    assert seed.p[0] == (zm(z0_2=1), TropMonomial.one())
-    assert seed.p[1] == (zm(z0_0=1), zm(s=1), zm(z0_1=1, z0_2=1))
+    g = seed.gctx
+    assert seed.p[0] == (zm(g, z0_2=1), zm(g))
+    assert seed.p[1] == (zm(g, z0_0=1), zm(g, s=1), zm(g, z0_1=1, z0_2=1))
 
 
 def test_halved_columns_skew_symmetric():
@@ -91,6 +75,23 @@ def test_halved_columns_skew_symmetric():
             for jset in maximal_compatible_sets(tube):
                 seed, _ = build_tube_seed(eng.tubes, jset)
                 seed.validate()  # includes the halved skew-symmetry check
+
+
+def test_validate_rejects_a_broken_seed():
+    eng = ThetaEngine(B_A3T)
+    seed, _ = build_tube_seed(eng.tubes, [TubeRoot(0, 1, 1), TubeRoot(0, 1, 2)])
+    g = seed.gctx
+    assert seed.d == (1, 2) and seed.b == ((0, 2), (-1, 0))
+    seed.validate()
+    for change, match in [
+        ({"p": (seed.p[0] + (zm(g),), seed.p[1])}, "length != d[+]1"),
+        # p_0 and p_d share z0_2, so their tropical sum is z0_2, not 1
+        ({"p": (seed.p[0], (zm(g, z0_0=1, z0_2=1), *seed.p[1][1:]))}, "normalization"),
+        ({"b": ((0, 1), (-1, 0))}, "not divisible by its degree"),
+        ({"b": ((0, 2), (1, 0))}, "not skew-symmetric"),
+    ]:
+        with pytest.raises(AssertionError, match=match):
+            dataclasses.replace(seed, **change).validate()
 
 
 def test_mutation_involution():
@@ -142,7 +143,7 @@ def test_mutated_coefficients_match_displayed_computation():
     mutated = gca_mutate(seed, k)
     assert mutated.p[k] == tuple(reversed(seed.p[k]))
     j = labels.index(TubeRoot(0, 1, 2))
-    assert mutated.p[j] == (TropMonomial.one(), zm(z0_1=1, z0_2=1))
+    assert mutated.p[j] == (zm(seed.gctx), zm(seed.gctx, z0_1=1, z0_2=1))
 
 
 def test_normalization_preserved_along_random_walk(rng):
@@ -169,12 +170,13 @@ def test_nonnormalized_ratio_identity():
             bkj = seed.b[k][j]
             dj = seed.d[j]
             for ell in range(dj + 1):
-                lhs = new.p[j][ell] / new.p[j][0]
-                rhs = (
-                    seed.p[j][ell]
-                    * seed.p[k][dk] ** (ell * max(-bkj, 0) // dj)
-                    / (seed.p[j][0] * seed.p[k][0] ** (ell * max(bkj, 0) // dj))
-                )
+                # monomials as exponent vectors: a ratio is a difference
+                up, down = ell * max(-bkj, 0) // dj, ell * max(bkj, 0) // dj
+                lhs = [a - b for a, b in zip(new.p[j][ell], new.p[j][0])]
+                rhs = [
+                    a + up * c - b - down * e
+                    for a, c, b, e in zip(seed.p[j][ell], seed.p[k][dk], seed.p[j][0], seed.p[k][0])
+                ]
                 assert lhs == rhs
 
 
@@ -262,30 +264,43 @@ def test_each_arc_set_is_checked_once_where_it_enters(monkeypatch):
 def test_kernel_generators_vanish_under_substitution():
     # with two tubes, prod z_beta over either orbit maps to y^delta, so the
     # differences of those products lie in the kernel of the substitution
-    from affcluster.gca import t_o_image
-
     eng = ThetaEngine(B_A3T22)
+    gctx = build_tube_seed(eng.tubes, [r for tube in eng.tubes for r in fan(tube)])[0].gctx
     prods = []
     for tube in eng.tubes:
-        m = TropMonomial.one()
-        for t in range(tube.size):
-            m = m * TropMonomial.make({("z", tube.index, t): 1})
-        prods.append(t_o_image(eng, m))
+        m = zm(gctx, **{f"z{tube.index}_{t}": 1 for t in range(tube.size)})
+        prods.append(t_o_image(eng, gctx, m))
     assert len(prods) == 2
     assert all(eng.same([p], [(1, eng.data.delta, None)]) for p in prods)
 
 
 def test_t_o_image_is_a_pointed_term():
-    from affcluster.gca import t_o_image
-
     eng = ThetaEngine(B_A2T)
-    star, z0 = ("star",), ("z", 0, 0)
+    gctx = build_tube_seed(eng.tubes, fan(eng.tubes[0]))[0].gctx
     # z_star^2 z_0 -> y^beta_0 theta_delta^2 = y^beta_0 (theta_2delta + 2 y^delta)
-    image = t_o_image(eng, TropMonomial.make({star: 2, z0: 1}))
+    image = t_o_image(eng, gctx, zm(gctx, s=2, z0_0=1))
     beta0, delta = eng.tubes[0].orbit[0], eng.data.delta
     assert eng.same([image], [(1, beta0, eng.theta_k_delta(2)), (2, beta0 + delta, None)])
     with pytest.raises(NonInvertibleImage):
-        t_o_image(eng, TropMonomial.make({star: -1}))
+        t_o_image(eng, gctx, zm(gctx, s=-1))
+
+
+def test_t_o_image_reads_each_slot_of_the_layout():
+    # d4t's block seed over its three tubes: each unit slot goes to its own image
+    eng = ThetaEngine(B_D4T)
+    seed, _ = build_tube_seed(eng.tubes, [r for tube in eng.tubes for r in fan(tube)])
+    gctx = seed.gctx
+    assert len(gctx.zkeys) == sum(t.size for t in eng.tubes) + 1
+    for i, key in enumerate(gctx.zkeys):
+        m = tuple(int(j == i) for j in range(len(gctx.zkeys)))
+        image = t_o_image(eng, gctx, m)
+        if key == ("star",):
+            assert eng.same([image], [(1, None, eng.theta_delta())])
+        else:
+            _, t, pos = key
+            assert image == (1, eng.tubes[t].orbit[pos], None)
+        (exponent,) = gctx.monomial(m).terms
+        assert exponent == (0,) * seed.rank + m
 
 
 def test_t_o_check_rejects_a_wrong_image(monkeypatch):
@@ -296,7 +311,7 @@ def test_t_o_check_rejects_a_wrong_image(monkeypatch):
     jset = sorted(maximal_compatible_sets(eng.tubes[0]))[0]
     graph = enumerate_exchange_graph(eng.tubes, *build_tube_seed(eng.tubes, jset))
     image = gca.t_o_image
-    monkeypatch.setattr(gca, "t_o_image", lambda e, m: (2, *image(e, m)[1:]))
+    monkeypatch.setattr(gca, "t_o_image", lambda e, g, m: (2, *image(e, g, m)[1:]))
     with pytest.raises(IdentityViolated):
         t_o_check(eng, graph)
 
@@ -329,14 +344,11 @@ def test_three_tube_exchange_identities():
     for tube in eng.tubes:
         eng.imaginary_exchange(tube.index, 0, 1)
     # kernel generators: all three orbit products map to y^delta
-    from affcluster.gca import t_o_image
-
+    gctx = build_tube_seed(eng.tubes, [r for tube in eng.tubes for r in fan(tube)])[0].gctx
     images = []
     for tube in eng.tubes:
-        m = TropMonomial.one()
-        for t in range(tube.size):
-            m = m * TropMonomial.make({("z", tube.index, t): 1})
-        images.append(t_o_image(eng, m))
+        m = zm(gctx, **{f"z{tube.index}_{t}": 1 for t in range(tube.size)})
+        images.append(t_o_image(eng, gctx, m))
     assert len(images) == 3
     assert all(eng.same([p], [(1, eng.data.delta, None)]) for p in images)
 
@@ -372,13 +384,15 @@ def test_each_edge_is_mutated_once_and_each_seed_built_once(monkeypatch):
 
     for name in ("gca_mutate", "build_tube_seed", "check_maximal", "exchange_partner"):
         counted(name)
-    # the a4t fan, and the d4t block seed over its three size-2 tubes
-    for b, expected in [(B_A4T, (20, 30, 20)), (B_D4T, (8, 12, 8))]:
+    # the a4t fan, and the d4t block seed over its three size-2 tubes; each
+    # vertex's arc set is checked once per tube, and once more where it is built
+    for b, expected in [(B_A4T, (20, 30, 20, 20 + 20)), (B_D4T, (8, 12, 8, 24 + 24))]:
         calls.clear()
         eng = ThetaEngine(b)
         jset = [r for tube in eng.tubes for r in fan(tube)]
         graph = enumerate_exchange_graph(eng.tubes, *gca.build_tube_seed(eng.tubes, jset))
-        assert (len(graph.vertices), calls["gca_mutate"], calls["build_tube_seed"]) == expected
+        counts = (calls["gca_mutate"], calls["build_tube_seed"], calls["check_maximal"])
+        assert (len(graph.vertices), *counts) == expected
     # t_o_check reads each exchange partner off the graph's edges
     calls.clear()
     assert t_o_check(eng, graph) == 3
