@@ -11,29 +11,34 @@ n "cluster" variables followed by m "tropical" variables.  The split only
 matters to pointed_split and pointed_form; arithmetic treats all
 n+m positions alike.  The zero polynomial is the empty dict.
 
-mul_terms multiplies two such term maps without a context, choosing by
-the number of term pairs against the size of the product's exponent box.
-Few pairs go through the term-by-term loop of LaurentPoly.__mul__.  A box
-with at least one pair per lattice point (the F-polynomials of d4t theta
-functions fill a third to a half of theirs) is packed: an operand becomes
-one Python int by Kronecker substitution, one slot per lattice point.  The
-product is then one big-int multiply, or, when one operand has few terms,
-a shift and add of the other packed operand per term; the slots of the
-result are read back through a memoryview.  A sparser box, or one over
-2^20 lattice points, goes through the term-by-term loop too.
+mul_terms multiplies two such term maps without a context, by one of
+three routes chosen from the operand sizes and the product's exponent box.
+Few term pairs, or fewer pairs than lattice points in the box, or a box
+over 2^20 lattice points, go through the term-by-term loop of
+LaurentPoly.__mul__.  A denser box (the F-polynomials of d4t theta
+functions fill a third to a half of theirs) is packed by Kronecker
+substitution, one slot per lattice point.  When one operand has few terms,
+the other becomes one Python int and is shifted and added once per term of
+the first.  Otherwise both become Decimals, each slot a run of decimal
+digits, and are multiplied once: libmpdec multiplies large numbers with a
+number-theoretic transform, where CPython's int multiply is Karatsuba, and
+a context that traps every inexact result keeps the multiply integer
+arithmetic.  Either way the slots of the result are read back through a
+memoryview.
 """
 
 from __future__ import annotations
 
+import decimal
 import heapq
 import json
 import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import compress, product, repeat, tee
+from itertools import compress, groupby, product, repeat, tee
 from math import isqrt, prod
-from operator import add, lshift, lt, mul, sub
+from operator import add, itemgetter, lshift, lt, mul, neg, not_, sub
 from typing import Dict, Iterable, Mapping, Tuple
 
 Exponent = Tuple[int, ...]
@@ -108,14 +113,30 @@ def _sparse_product(f: Mapping[Exponent, int], g: Mapping[Exponent, int]) -> Dic
 # _PAIRS_PER_SLOT pairs per slot of its box (the measured crossover lies
 # between 0.9 and 1.4) and the box has at most _MAX_SLOTS slots, since a
 # packed product holds several buffers of box * slot width bytes.  A
-# packed product whose smaller operand has at most _SHIFT_TERMS terms is
-# a shift and add per term of it instead of a full multiply; the measured
-# crossover lies between 192 and 320 terms against a 634-term operand and
-# above 400 against operands of 1,914 terms and more.
+# packed product whose smaller operand has at most _SHIFT_TERMS terms, and
+# which is not a square, is a shift and add per term of it instead of the
+# decimal multiply.  Measured on d4t F-polynomials, with theta_delta (22
+# terms) or the first 96 to 634 terms of theta_3delta as the smaller
+# operand against operands of 634 to 10,194 terms, shift and add takes
+# 0.42 to 0.89 times the decimal multiply's time up to 256 terms, 0.81 to
+# 1.02 times at 320, and 1.03 to 1.51 times from 384 terms on.
 _BOX_PAIRS = 32
 _PAIRS_PER_SLOT = 1
 _MAX_SLOTS = 1 << 20
-_SHIFT_TERMS = 256
+_SHIFT_TERMS = 320
+
+
+# The context of the decimal multiply step.  Its precision and exponent
+# range hold any integer the step makes, and every signal that a result was
+# not exact is a trap, so the step is integer arithmetic or it raises.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+)
+# ASCII digits to their values
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def mul_terms(f: Mapping[Exponent, int], g: Mapping[Exponent, int]) -> Dict[Exponent, int]:
@@ -125,18 +146,27 @@ def mul_terms(f: Mapping[Exponent, int], g: Mapping[Exponent, int]) -> Dict[Expo
     A product with few term pairs, or with fewer pairs than lattice points
     in its exponent box lo <= e <= hi, runs the term-by-term loop of
     LaurentPoly.__mul__.  Otherwise it is packed by Kronecker substitution
-    (_packed_product): the larger operand, or both, become big ints; the
-    product is one big-int multiply, or a shift and add per term when the
-    smaller operand has at most _SHIFT_TERMS terms and the product is not
-    a square.
+    (_packed_product) and takes one of two multiply steps.  When the smaller
+    operand has at most _SHIFT_TERMS terms and the product is not a square,
+    the larger operand, packed as an int, is shifted and added once per
+    term of the smaller.  Otherwise both operands are packed as Decimals
+    and multiplied once: libmpdec multiplies large numbers with a
+    number-theoretic transform, O(n log n), where CPython's int multiply is
+    Karatsuba, O(n^1.585).
 
     Costs measured on CPython 3.11 with 2 to 7 variables: a pair of terms
-    costs 0.8 to 1.5 us in the loop.  A packed product costs 1 to 1.6 us
-    per packed term, then its multiply step, then 0.17 to 0.47 us per slot
-    of the box to read the result back.  The multiply step is Karatsuba
-    on the two packed ints (114 ms for a 1,914-term square in a box of
-    111,537 4-byte slots), or linear time per term of the smaller operand
-    (7 ms for 22 terms against 19,826 in the same box)."""
+    costs 0.8 to 1.5 us in the loop.  The steps of two packed products of
+    d4t F-polynomials, in a box of 111,537 slots of 4 bytes or 9 digits:
+
+                               1,914-term square   19,826 by 22 terms
+      pack the operands        4.0 ms (Decimal)    8.9 ms (int)
+      multiply                 22.7 ms (NTT)       5.2 ms (shift and add)
+      digits to byte slots     9.9 ms              -
+      slots to the term map    9.0 ms              10.2 ms
+
+    CPython's Karatsuba multiply takes 83 to 92 ms to square the first
+    product's operand packed as an int; the second product takes about
+    twice as long through the decimal multiply as by shift and add."""
     pairs = len(f) * len(g)
     if pairs >= _BOX_PAIRS:
         fcols, gcols = list(zip(*f)), list(zip(*g))
@@ -144,78 +174,153 @@ def mul_terms(f: Mapping[Exponent, int], g: Mapping[Exponent, int]) -> Dict[Expo
         glo = [min(c) for c in gcols]
         dims = [max(a) + max(b) - l1 - l2 + 1 for a, b, l1, l2 in zip(fcols, gcols, flo, glo)]
         if prod(dims) <= _MAX_SLOTS and _PAIRS_PER_SLOT * prod(dims) <= pairs:
-            return _packed_product(f, flo, g, glo, dims)
+            return _packed_product(f, fcols, flo, g, gcols, glo, dims)
     return {e: c for e, c in _sparse_product(f, g).items() if c}
 
 
 def _packed_product(
-    f: Mapping[Exponent, int], flo: list, g: Mapping[Exponent, int], glo: list, dims: list
+    f: Mapping[Exponent, int],
+    fcols: list,
+    flo: list,
+    g: Mapping[Exponent, int],
+    gcols: list,
+    glo: list,
+    dims: list,
 ) -> Dict[Exponent, int]:
-    """The product of f and g, whose exponents lie at or above flo and glo,
-    in the box of dims lattice points from flo + glo.
+    """The product of f and g, whose exponents have the columns fcols and
+    gcols with least entries flo and glo, in the box of dims lattice points
+    from flo + glo.
 
     Lattice point e of the product box gets the slot k(e), the row-major
     index of e - flo - glo, so that k(e1 + e2) = k1(e1) + k2(e2) for the
-    operands' indices k1(e1) of e1 - flo and k2(e2) of e2 - glo.  An
-    operand is packed as the signed integer  sum_e c_e 2^(w k(e)).  The
-    product is one big-int multiply of the two packed operands, or, when
-    the smaller operand has at most _SHIFT_TERMS terms and is not the
-    other, the sum of c_e times the larger one, packed and shifted by
-    w k(e) bits, over the smaller one's terms.  Every
-    slot of it holds a coefficient c with |c| < bound, where bound^2 >
-    sum c_f^2 * sum c_g^2 (Cauchy-Schwarz) and 2 bound <= 2^w, so adding
-    bound to every slot makes them all nonnegative and the slots can be
-    read back from the bytes of one integer (_slot_values)."""
+    operands' indices k1(e1) of e1 - flo and k2(e2) of e2 - glo.  Every
+    slot of the product holds a coefficient c with |c| < bound, where
+    bound^2 > sum c_f^2 * sum c_g^2 (Cauchy-Schwarz).  When both operands
+    are nonnegative so is every c, and a slot holds values up to top =
+    bound - 1; otherwise bound is added to every slot, making them all
+    nonnegative, and a slot holds values up to top = 2 bound - 1.
+
+    There are two multiply steps.  When the smaller operand has at most
+    _SHIFT_TERMS terms and is not the other, the larger one is packed as
+    the int  sum_e c_e 2^(8 w k(e))  with w bytes per slot, 256^w > top,
+    and the product is the sum of c_e times it shifted by 8 w k(e) bits
+    over the smaller one's terms: linear time per term.  Otherwise both
+    operands are packed as Decimals  sum_e c_e 10^(d (top_k - k(e)))  with
+    d digits per slot, 10^d > top, top_k the operand's last slot, so that
+    slot k is the string's k-th run of d digits; libmpdec multiplies them
+    with a number-theoretic transform, exactly in _EXACT, and the digits
+    of the product are its slots in lattice order.  They are read back,
+    one strided slice per digit, into slots of w bytes.  Either way the
+    slots are then read from the bytes of one integer (_slot_values).
+
+    No packed number is converted between int, str and Decimal: CPython
+    3.11 and later refuse int-str conversions past 4,300 digits, and an
+    int-Decimal conversion takes quadratic time.  The decimal step writes
+    each coefficient's text on its own, so there a coefficient past that
+    limit raises ValueError, as it does in to_json_dict."""
     strides = [1] * len(dims)
     for i in range(len(dims) - 1, 0, -1):
         strides[i - 1] = strides[i] * dims[i]
     box = prod(dims)
-    bound = isqrt(sum(c * c for c in f.values()) * sum(c * c for c in g.values())) + 1
-    width = ((2 * bound - 1).bit_length() + 7) // 8
-    size = box * width
-
-    def pack(terms: Mapping[Exponent, int], lo: list) -> int:
-        base = sum(map(mul, lo, strides))
-        pos = bytearray(size)
-        neg = bytearray(size)
-        for e, c in terms.items():
-            k = (sum(map(mul, e, strides)) - base) * width
-            if c > 0:
-                pos[k : k + width] = c.to_bytes(width, "little")
-            else:
-                neg[k : k + width] = (-c).to_bytes(width, "little")
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
     if len(f) < len(g):
-        f, flo, g, glo = g, glo, f, flo
-    if g is f:
-        packed_f = pack(f, flo)
-        packed = packed_f * packed_f
-    elif len(g) <= _SHIFT_TERMS:
-        packed = _shift_and_add(pack(f, flo), g, glo, strides, 8 * width)
+        f, fcols, flo, g, gcols, glo = g, gcols, glo, f, fcols, flo
+    fvalues, gvalues = list(f.values()), list(g.values())
+    bound = isqrt(sum(map(mul, fvalues, fvalues)) * sum(map(mul, gvalues, gvalues))) + 1
+    signed = min(fvalues) < 0 or min(gvalues) < 0
+    top = 2 * bound - 1 if signed else bound - 1
+    width = (top.bit_length() + 7) // 8
+
+    def operand(cols: list, lo: list, values: list, pack, minus):
+        """pack(slots, coefficients, length) of an operand's positive
+        terms, minus that of its negated negative terms."""
+        slots = _slot_indices(cols, lo, strides)
+        length = sum(map(mul, map(sub, map(max, cols), lo), strides)) + 1
+        if min(values) > 0:
+            return pack(slots, values, length)
+        positive = list(map(lt, repeat(0), values))
+        negative = list(map(not_, positive))
+        return minus(
+            pack(list(compress(slots, positive)), list(compress(values, positive)), length),
+            pack(list(compress(slots, negative)), list(map(neg, compress(values, negative))), length),
+        )
+
+    if g is not f and len(g) <= _SHIFT_TERMS:
+
+        def pack_binary(slots: list, values: list, length: int) -> int:
+            return int.from_bytes(_slot_bytes(slots, values, length, width), "little")
+
+        packed = _shift_and_add(
+            operand(fcols, flo, fvalues, pack_binary, sub),
+            _slot_indices(gcols, glo, strides),
+            gvalues,
+            8 * width,
+        )
+        if signed:
+            packed += int.from_bytes(bound.to_bytes(width, "little") * box, "little")
+        data = packed.to_bytes(box * width, "little")
     else:
-        packed = pack(f, flo) * pack(g, glo)
-    bias = int.from_bytes(bound.to_bytes(width, "little") * box, "little")
-    data = (packed + bias).to_bytes(size, "little")
+        digits = len(str(top))
+
+        def pack_decimal(slots: list, values: list, length: int) -> decimal.Decimal:
+            out = ["0" * digits] * length
+            for k, text in zip(slots, map(str.zfill, map(str, values), repeat(digits))):
+                out[k] = text
+            return _EXACT.create_decimal("".join(out))
+
+        packed_f = operand(fcols, flo, fvalues, pack_decimal, _EXACT.subtract)
+        packed_g = packed_f if g is f else operand(gcols, glo, gvalues, pack_decimal, _EXACT.subtract)
+        packed = _EXACT.multiply(packed_f, packed_g)
+        if signed:
+            packed = _EXACT.add(packed, _EXACT.create_decimal(str(bound).zfill(digits) * box))
+        text = str(packed).encode().zfill(box * digits).translate(_DIGIT_VALUES)
+        # Horner in lanes of width bytes: after j digits a lane holds its
+        # slot's value cut to the first j digits, at most top < 256^width,
+        # so no lane carries into the next
+        lane = bytearray(box * width)
+        lanes = 0
+        for j in range(digits):
+            lane[::width] = text[j::digits]
+            lanes = lanes * 10 + int.from_bytes(lane, "little")
+        data = lanes.to_bytes(box * width, "little")
     lattice = product(*(range(a + b, a + b + d) for a, b, d in zip(flo, glo, dims)))
-    select, values = tee(map(sub, _slot_values(data, width), repeat(bound)))
+    values = _slot_values(data, width)
+    if signed:
+        values = map(sub, values, repeat(bound))
+    select, values = tee(values)
     return dict(zip(compress(lattice, select), filter(None, values)))
 
 
-def _shift_and_add(
-    packed: int, terms: Mapping[Exponent, int], lo: list, strides: list, bits: int
-) -> int:
-    """packed times the packing of terms at bits per slot, as the sum of
-    c * packed << (bits * k(e)) over the terms c x^e, k(e) the row-major
-    index of e - lo: one linear-time shift and add per term."""
-    base = sum(map(mul, lo, strides))
-    return sum((packed * c) << (sum(map(mul, e, strides)) - base) * bits for e, c in terms.items())
+def _slot_indices(cols: list, lo: list, strides: list) -> list:
+    """The row-major index of e - lo for each exponent e, from the columns
+    of the exponents."""
+    slots: Iterable[int] = repeat(-sum(map(mul, lo, strides)))
+    for col, stride in zip(cols, strides):
+        slots = map(add, slots, map(mul, col, repeat(stride)))
+    return list(slots)
 
 
-# memoryview cast codes by item size, since the sizes of C's int and long
-# differ across platforms; the packed slots are little-endian
+def _shift_and_add(packed: int, slots: list, values: list, bits: int) -> int:
+    """packed times sum c 2^(bits k) over the slots k and coefficients c:
+    one linear-time multiply per distinct c, and one shift and add per
+    term (21 of the 22 coefficients of d4t's theta_delta are 1)."""
+    total = 0
+    for c, terms in groupby(sorted(zip(values, slots)), itemgetter(0)):
+        multiple = packed * c
+        total += sum(multiple << k * bits for _, k in terms)
+    return total
+
+
+# memoryview cast and array type codes by item size, since the sizes of C's
+# int and long differ across platforms; the packed slots are little-endian
 _CAST_CODES = {array(code).itemsize: code for code in "QLIHB"}
 _LITTLE_ENDIAN = sys.byteorder == "little"
+_LIMB = (1 << 64) - 1
+
+
+def _item_size(width: int) -> int:
+    """The item size that reads slots of width bytes: the next of 1, 2, 4
+    or 8 bytes, and 8-byte limbs above 8."""
+    return 1 << (width - 1).bit_length() if width <= 8 else 8
 
 
 def _slot_values(data: bytes, width: int) -> Iterable[int]:
@@ -225,7 +330,7 @@ def _slot_values(data: bytes, width: int) -> Iterable[int]:
     next item size of 1, 2, 4 or 8 bytes (a multiple of 8 above 8), so that
     a memoryview reads them, or their 64-bit limbs, as native ints.  On a
     big-endian host each item's bytes are reversed in the copy."""
-    item = 1 << (width - 1).bit_length() if width <= 8 else 8
+    item = _item_size(width)
     wide = -(-width // item) * item
     if wide == width and _LITTLE_ENDIAN:
         buf = data
@@ -242,6 +347,25 @@ def _slot_values(data: bytes, width: int) -> Iterable[int]:
     for j in range(1, limbs):
         values = map(add, values, map(lshift, view[j::limbs], repeat(64 * j)))
     return values
+
+
+def _slot_bytes(slots: list, values: list, length: int, width: int) -> bytearray:
+    """length unsigned little-endian slots of width bytes, holding the
+    values at the slots and zero elsewhere: the inverse of _slot_values.
+
+    The values, or each of their 64-bit limbs in turn, are stored as native
+    ints in an array of the next item size and copied into the slots, one
+    strided slice per byte."""
+    item = _item_size(width)
+    data = bytearray(length * width)
+    for j in range(0, width, item):
+        limb = array(_CAST_CODES[item], bytes(length * item))
+        for k, c in zip(slots, values if width <= 8 else [c >> 8 * j & _LIMB for c in values]):
+            limb[k] = c
+        raw = limb.tobytes()
+        for i in range(j, min(width, j + item)):
+            data[i::width] = raw[i - j if _LITTLE_ENDIAN else j + item - 1 - i :: item]
+    return data
 
 
 class LaurentPoly:

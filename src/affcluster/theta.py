@@ -17,7 +17,8 @@ A theta function is pointed: every term is x^(label + B beta) u^beta with
 beta >= 0, so it is stored as its label and its F-polynomial
 F: beta -> coefficient (ThetaFunction).  A product of thetas is the sum of
 the labels and the product of the F-polynomials, which poly.mul_terms
-packs into big integers whenever the exponent box is dense enough.  Every
+packs by Kronecker substitution whenever the exponent box is dense enough.
+F-polynomials are positive, so their packed products need no bias.  Every
 identity is checked in this form (ThetaEngine.same), at any number of
 labels, and peeling in the theta basis runs on F-polynomials; a
 LaurentPoly is built only when a caller reads ThetaFunction.poly.

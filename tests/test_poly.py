@@ -1,5 +1,6 @@
 """Laurent polynomial arithmetic: exactness, division, substitution, pointing."""
 
+import decimal
 import random
 from array import array
 from itertools import product
@@ -358,19 +359,60 @@ def _dense_terms(rng, nvars, nterms, side, mag, shift=0):
     return {e: rng.choice((-1, 1)) * rng.randint(1, mag) for e in points}
 
 
-def _slot_width(f, g):
+def _slot_top(f, g):
+    """The largest value a slot of the packed product of f and g can hold:
+    bound - 1 for nonnegative operands, else 2 bound - 1 with the bias."""
     bound = isqrt(sum(c * c for c in f.values()) * sum(c * c for c in g.values())) + 1
-    return ((2 * bound - 1).bit_length() + 7) // 8
+    return bound - 1 if min(f.values()) > 0 and min(g.values()) > 0 else 2 * bound - 1
+
+
+def _slot_width(f, g):
+    return (_slot_top(f, g).bit_length() + 7) // 8
+
+
+def _slot_digits(f, g):
+    return len(str(_slot_top(f, g)))
+
+
+def _exact_like(context_class=decimal.Context, prec=None):
+    """A context_class with the decimal step's settings and traps, at prec
+    digits if given."""
+    exact = poly._EXACT
+    traps = [signal for signal, on in exact.traps.items() if on]
+    return context_class(prec=prec or exact.prec, Emax=exact.Emax, Emin=exact.Emin, traps=traps)
+
+
+def _spy_decimal_multiply(monkeypatch):
+    """Replace the decimal step's context by a copy that counts multiplies."""
+    calls = []
+
+    class Counting(decimal.Context):
+        def multiply(self, a, b):
+            calls.append(1)
+            return super().multiply(a, b)
+
+    monkeypatch.setattr(poly, "_EXACT", _exact_like(Counting))
+    return calls
+
+
+def _magnitudes(digits):
+    """Coefficient bounds from 1 to 10^digits, rising by a factor of about
+    10^(1/8): the products' slot values rise about 10^(1/4) per step, so
+    that no digit count is skipped."""
+    return sorted({max(1, isqrt(isqrt(isqrt(10**t)))) for t in range(8 * digits + 1)})
 
 
 def test_packed_product_every_multiply_step_and_slot_width(rng, monkeypatch):
-    # dense boxes in 2 or 3 variables, so every product below is packed:
-    # squares, a smaller operand of 3 and of _SHIFT_TERMS terms (shift and
-    # add), and of _SHIFT_TERMS + 1 terms (full multiply), each at every
-    # slot width that the operand sizes allow; full multiplies of two
-    # operands over _SHIFT_TERMS terms need slots of 2 bytes or more
+    # dense boxes in 2 or 3 variables, so every product below is packed,
+    # with signed coefficients: a smaller operand of 3 and of _SHIFT_TERMS
+    # terms (shift and add) at every slot width in bytes that the operand
+    # sizes allow, and squares and a smaller operand of _SHIFT_TERMS + 1
+    # terms (the decimal multiply) at every slot width in digits that they
+    # allow; either way the product's slots are read back at the width in
+    # bytes of their largest value
     calls = {"packed": 0, "shift": 0}
-    widths = {"square": set(), "shift": set(), "full": set()}
+    multiplies = _spy_decimal_multiply(monkeypatch)
+    covered = {"square": set(), "shift": set(), "full": set()}
     packed, shift_and_add, slot_values = poly._packed_product, poly._shift_and_add, poly._slot_values
 
     def count(name, fn):
@@ -385,37 +427,131 @@ def test_packed_product_every_multiply_step_and_slot_width(rng, monkeypatch):
     monkeypatch.setattr(poly, "_slot_values", lambda data, w: seen.append(w) or slot_values(data, w))
     cut = poly._SHIFT_TERMS
     big = cut + 8
-    every = (1, 2, 3, 4, 5, 8, 9, 17, 24)
-    for nvars, width in zip([2, 3] * len(every), every):
+    every_width = (1, 2, 3, 4, 5, 8, 9, 17, 24)
+    every_digits = (2, 3, 4, 9, 10, 19, 20, 21, 39, 40, 58)
+    rows = [("shift", width) for width in every_width] + [
+        (step, digits) for step in ("square", "full") for digits in every_digits
+    ]
+    for i, (step, size) in enumerate(rows):
+        nvars = 2 + i % 2
         side = round((1.2 * big) ** (1 / nvars)) + 1
         small_side = round((2 * cut) ** (1 / nvars)) + 1
-        shapes = [
-            ("square", big, side, None, 0),
-            ("square", 22, round((1.2 * 22) ** (1 / nvars)) + 1, None, 0),
-            ("shift", big, side, 3, 2),
-            ("shift", big, side, cut, small_side),
-            ("full", big, side, cut + 1, small_side),
-        ]
-        for step, nf, fside, ng, gside in shapes:
-            for bits in range(8 * width):
-                mag = 1 << bits
+        shapes = {
+            "square": [(big, side, None, 0), (22, round((1.2 * 22) ** (1 / nvars)) + 1, None, 0)],
+            "shift": [(big, side, 3, 2), (big, side, cut, small_side)],
+            "full": [(big, side, cut + 1, small_side)],
+        }[step]
+        for nf, fside, ng, gside in shapes:
+            if step == "shift":
+                mags = [1 << bits for bits in range(8 * size)]
+                measure = _slot_width
+            else:
+                mags = _magnitudes(size)
+                measure = _slot_digits
+            for mag in mags:
                 f = _dense_terms(rng, nvars, nf, fside, mag, shift=-fside // 2)
                 g = f if ng is None else _dense_terms(rng, nvars, ng, gside, mag)
-                if _slot_width(f, g) == width:
+                if measure(f, g) == size:
                     break
             else:
                 continue  # too many terms for so narrow a slot
             want = sparse_reference(f, g)
             for a, b in ((f, g), (g, f)) if g is not f else ((f, f),):
-                before = dict(calls)
+                before, before_multiplies = dict(calls), len(multiplies)
                 got = mul_terms(a, b)
                 assert calls["packed"] == before["packed"] + 1, "a dense box was not packed"
                 assert got == want and 0 not in got.values()
                 assert list(got) == sorted(got), "not in lattice order"
                 assert calls["shift"] == before["shift"] + (step == "shift")
-                assert seen[-1] == width
-            widths[step].add(width)
-    assert widths == {"square": set(every), "shift": set(every), "full": set(every) - {1}}
+                assert len(multiplies) == before_multiplies + (step != "shift")
+                assert seen[-1] == _slot_width(f, g)
+            covered[step].add(size)
+    # a signed product of two operands over _SHIFT_TERMS terms has a bound
+    # over _SHIFT_TERMS, so its slots hold three digits or more
+    assert covered == {
+        "square": set(every_digits),
+        "shift": set(every_width),
+        "full": set(every_digits) - {2},
+    }
+
+
+def test_decimal_multiply_matches_the_sparse_loop(rng, monkeypatch):
+    # with _SHIFT_TERMS lowered, small dense products take the decimal
+    # multiply: squares and full multiplies in 1 to 7 variables, of
+    # nonnegative and of signed operands, and (1 + x) a times (1 - x) b,
+    # whose x-terms cancel inside the slots, at slot values of 1 digit to
+    # past 40, so that the digits are read back into slots of 1, 2, 4 and 8
+    # bytes and of two and three 64-bit limbs
+    monkeypatch.setattr(poly, "_SHIFT_TERMS", 1)
+    multiplies = _spy_decimal_multiply(monkeypatch)
+    slot_values = poly._slot_values
+    read = []
+    monkeypatch.setattr(poly, "_slot_values", lambda data, w: read.append(w) or slot_values(data, w))
+    digits_seen, widths_seen = set(), set()
+    for nvars in range(1, 8):
+        side = next(s for s in range(2, 17) if s**nvars >= 16)
+        nterms = 3 * side**nvars // 4
+        zero = (0,) * nvars
+        x = (1,) + zero[1:]
+        x2 = (2,) + zero[1:]
+        ones = {(i,) + zero[1:]: 1 for i in range(6)}  # 36 pairs in 11 slots of 1 digit
+        # one 1-digit square, then one product of each kind in turn at
+        # coefficient bounds rising 10^(1/2) a step
+        products = [(ones, ones, None)]
+        for i, mag in enumerate(_magnitudes(22)[::4]):
+            f = _dense_terms(rng, nvars, nterms, side, mag)
+            g = _dense_terms(rng, nvars, nterms, side, mag, shift=-1)
+            pf = {e: abs(c) for e, c in f.items()}
+            pg = {e: abs(c) for e, c in g.items()}
+            if i % 5 < 4:
+                a, b = [(f, f), (f, g), (pf, pf), (pf, pg)][i % 5]
+                products.append((a, b, None))
+            else:
+                products.append((
+                    mul_terms(pf, {zero: 1, x: 1}),
+                    mul_terms(pg, {zero: 1, x: -1}),
+                    mul_terms(mul_terms(pf, pg), {zero: 1, x2: -1}),
+                ))
+        for a, b, cancelled in products:
+            before = len(multiplies)
+            got = mul_terms(a, b)
+            assert len(multiplies) == before + 1, "the decimal multiply did not run"
+            assert got == sparse_reference(a, b) and 0 not in got.values()
+            assert list(got) == sorted(got), "not in lattice order"
+            assert read[-1] == _slot_width(a, b)
+            if cancelled is not None:
+                assert got == cancelled
+            digits_seen.add(_slot_digits(a, b))
+            widths_seen.add(read[-1])
+    assert set(range(1, 41)) <= digits_seen
+    assert {1, 2, 4, 8} <= widths_seen and max(widths_seen) > 16
+
+
+def test_decimal_multiply_ignores_the_thread_context(rng):
+    # the decimal step computes in its own context: a thread context of 28
+    # digits that rounds down and traps nothing changes no product, though
+    # every packed operand below has thousands of digits
+    n = poly._SHIFT_TERMS + 20
+    side = isqrt(2 * n)
+    f = {e: abs(c) for e, c in _dense_terms(rng, 2, n, side, 10**6).items()}
+    g = _dense_terms(rng, 2, n, side, 10**6)
+    want = [(a, b, sparse_reference(a, b)) for a, b in ((f, g), (f, f))]
+    loose = decimal.Context(prec=28, rounding=decimal.ROUND_FLOOR, traps=[])
+    with decimal.localcontext(loose):
+        for a, b, product_ab in want:
+            assert mul_terms(a, b) == product_ab
+
+
+def test_decimal_multiply_raises_rather_than_rounds(rng, monkeypatch):
+    # with the decimal step's context cut to 20 digits, a product whose
+    # packed operands have more raises instead of returning slots
+    monkeypatch.setattr(poly, "_EXACT", _exact_like(prec=20))
+    n = poly._SHIFT_TERMS + 20
+    side = isqrt(2 * n)
+    f = _dense_terms(rng, 2, n, side, 10**6)
+    for a, b in ((f, f), ({e: abs(c) for e, c in f.items()}, _dense_terms(rng, 2, n, side, 9))):
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            mul_terms(a, b)
 
 
 def test_packed_product_cancelling_coefficients(rng, monkeypatch):
@@ -473,6 +609,34 @@ def test_slot_values_reads_every_width(rng, monkeypatch):
         native = poly._LITTLE_ENDIAN
         monkeypatch.setattr(poly, "_LITTLE_ENDIAN", not native)
         assert list(poly._slot_values(data, width)) == swapped
+        monkeypatch.setattr(poly, "_LITTLE_ENDIAN", native)
+
+
+def test_slot_bytes_writes_every_width(rng, monkeypatch):
+    # _slot_values' inverse: values of 1 to 20 bytes at random slots, zero
+    # elsewhere, become little-endian slots; with the host taken for the
+    # other byte order, every item of 1, 2, 4 or 8 bytes (each 64-bit limb
+    # above 8) is written with its bytes reversed, which is what a native
+    # write on a host of that order undoes
+    for width in range(1, 21):
+        item = min(8, 1 << (width - 1).bit_length())
+        length = 40
+        slots = rng.sample(range(length), 25)
+        values = [rng.getrandbits(8 * width) for _ in range(23)] + [1, (1 << 8 * width) - 1]
+        dense = [0] * length
+        for k, v in zip(slots, values):
+            dense[k] = v
+        data = poly._slot_bytes(slots, values, length, width)
+        assert data == b"".join(v.to_bytes(width, "little") for v in dense)
+        assert list(poly._slot_values(data, width)) == dense
+
+        def swapped(v):
+            raw = v.to_bytes(-(-width // item) * item, "little")
+            return b"".join(raw[j : j + item][::-1] for j in range(0, len(raw), item))[:width]
+
+        native = poly._LITTLE_ENDIAN
+        monkeypatch.setattr(poly, "_LITTLE_ENDIAN", not native)
+        assert poly._slot_bytes(slots, values, length, width) == b"".join(map(swapped, dense))
         monkeypatch.setattr(poly, "_LITTLE_ENDIAN", native)
 
 
