@@ -19,11 +19,11 @@ Nothing here uses Fraction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .seeds import ExtendedExchangeMatrix, RootVec, Rows, WeightVec, coroot_scalers
 
@@ -63,7 +63,7 @@ class NegativeInput(ValueError):
     """nu_c is only implemented on nonnegative root vectors."""
 
 
-def source_to_sink_order(b: Rows) -> Tuple[int, ...]:
+def source_to_sink_order(b: Rows) -> tuple[int, ...]:
     """Topological order with b[i][j] > 0 forcing i before j."""
     n = len(b)
     succ = {i: [j for j in range(n) if b[i][j] > 0] for i in range(n)}
@@ -72,7 +72,7 @@ def source_to_sink_order(b: Rows) -> Tuple[int, ...]:
         for j in succ[i]:
             indeg[j] += 1
     ready = sorted(i for i in range(n) if indeg[i] == 0)
-    order: List[int] = []
+    order: list[int] = []
     while ready:
         i = ready.pop(0)
         order.append(i)
@@ -95,7 +95,7 @@ def cartan_matrix(b: Rows) -> Rows:
 
 def _rref(
     rows: Sequence[Sequence[int]],
-) -> Tuple[List[List[int]], List[int], int, int]:
+) -> tuple[list[list[int]], list[int], int, int]:
     """Exact fraction-free (Bareiss) Gauss-Jordan elimination over the integers.
 
     Returns (R, pivots, d, det): integer rows R = d * rref(A) with the common
@@ -105,7 +105,7 @@ def _rref(
     previous pivot is exact and every pivot entry equals the current pivot."""
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0])
-    pivots: List[int] = []
+    pivots: list[int] = []
     prev = 1
     sign = 1
     for col in range(ncols):
@@ -136,17 +136,11 @@ def _rref(
     return m, pivots, prev, det
 
 
-@dataclass(frozen=True)
-class AffineData:
-    """Everything derived from an acyclic affine exchange matrix."""
-
-    b: Rows
-    cartan: Rows
-    e: Tuple[int, ...]  # 1/d_i for the skew-symmetrizer d
-    order: Tuple[int, ...]  # source-to-sink listing of indices
-    delta: RootVec
-    e_c: Rows
-    e_cinv: Rows
+class AffineData(namedtuple("AffineData", "b cartan e order delta e_c e_cinv")):
+    """Everything derived from an acyclic affine exchange matrix: the Rows
+    b, cartan, e_c and e_cinv, the scalers e (1/d_i for the skew-symmetrizer
+    d), the source-to-sink order of the indices, and the RootVec delta.
+    Without __slots__, so that cached_property has a __dict__."""
 
     @property
     def n(self) -> int:
@@ -275,7 +269,7 @@ def build_affine_data(matrix) -> AffineData:
 
 # -- positive real roots and tubes -------------------------------------------
 
-def positive_real_roots(data: AffineData, bound: Sequence[int]) -> List[RootVec]:
+def positive_real_roots(data: AffineData, bound: Sequence[int]) -> list[RootVec]:
     """All positive real roots v <= bound componentwise, by reflection closure.
 
     A reflection s_r changes only coordinate r, by minus the pairing of the
@@ -287,10 +281,10 @@ def positive_real_roots(data: AffineData, bound: Sequence[int]) -> List[RootVec]
     # the nonzero entries of each Cartan row
     rows = [[(i, x) for i, x in enumerate(row) if x] for row in data.cartan]
     frontier = [tuple(int(j == i) for j in range(n)) for i in range(n) if bound[i] >= 1]
-    seen: Set[Tuple[int, ...]] = set(frontier)
+    seen: set[tuple[int, ...]] = set(frontier)
     out = list(frontier)
     while frontier:
-        nxt: List[Tuple[int, ...]] = []
+        nxt: list[tuple[int, ...]] = []
         for v in frontier:
             for r in range(n):
                 pairing = sum(x * v[i] for i, x in rows[r])
@@ -306,28 +300,25 @@ def positive_real_roots(data: AffineData, bound: Sequence[int]) -> List[RootVec]
     return [RootVec(v) for v in out]
 
 
-@dataclass(frozen=True)
-class Tube:
-    """One c-orbit of tube simples: orbit[i+1] = c(orbit[i]), sum = delta."""
+class Tube(namedtuple("Tube", "index orbit")):
+    """One c-orbit of tube simples, a tuple of RootVecs: orbit[i+1] =
+    c(orbit[i]), sum = delta."""
 
-    index: int
-    orbit: Tuple[RootVec, ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
         return len(self.orbit)
 
 
-@dataclass(frozen=True, order=True)
-class TubeRoot:
-    """The arc beta_[start, start+length-1] in tube number `tube`."""
+class TubeRoot(namedtuple("TubeRoot", "tube start length")):
+    """The arc beta_[start, start+length-1] in tube number `tube`; arcs sort
+    by (tube, start, length)."""
 
-    tube: int
-    start: int
-    length: int
+    __slots__ = ()
 
 
-def detect_tubes(data: AffineData) -> List[Tube]:
+def detect_tubes(data: AffineData) -> list[Tube]:
     """Find the tube-simples orbits: c-orbits of positive real roots summing
     to delta.  Such an orbit has at least two members, so each lies strictly
     below delta and pairs to zero with it under omega_c; the orbits are
@@ -341,14 +332,14 @@ def detect_tubes(data: AffineData) -> List[Tube]:
     # the Coxeter matrix, each row as its nonzero entries
     cox = [[(j, x) for j, x in enumerate(row) if x] for row in data.coxeter_matrix]
 
-    def coxeter(v: Tuple[int, ...]) -> Tuple[int, ...]:
+    def coxeter(v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sum(x * v[j] for j, x in row) for row in cox)
 
     roots = positive_real_roots(data, data.delta.coords)
     qualifying = [v.coords for v in roots if not sum(map(mul, omega_delta, v.coords))]
     in_q = set(qualifying)
-    seen: Set[Tuple[int, ...]] = set()
-    orbits: List[Tuple[Tuple[int, ...], ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    orbits: list[tuple[tuple[int, ...], ...]] = []
     for v in qualifying:
         if v in seen:
             continue
@@ -380,10 +371,10 @@ def detect_tubes(data: AffineData) -> List[Tube]:
 
 # -- arcs ---------------------------------------------------------------------
 
-_ARC_TABLES: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+_ARC_TABLES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
-def _arc_table(k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def _arc_table(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(masks, compat) for tubes of size k: each arc's support as a k-bit
     mask, and per arc the bitset of the arcs compatible with it.  Two arcs
     are compatible when one support contains the other (nested), or when
@@ -427,11 +418,11 @@ def _in(tube: Tube, js: int, r: TubeRoot) -> bool:
     return bool(js >> _arc_number(tube, r) & 1)
 
 
-def all_arcs(tube: Tube) -> List[TubeRoot]:
+def all_arcs(tube: Tube) -> list[TubeRoot]:
     return [_arc(tube, i) for i in range(tube.size * (tube.size - 1))]
 
 
-def arc_support(tube: Tube, r: TubeRoot) -> FrozenSet[int]:
+def arc_support(tube: Tube, r: TubeRoot) -> frozenset[int]:
     return frozenset(_members(_arc_table(tube.size)[0][_arc_number(tube, r)]))
 
 
@@ -486,13 +477,13 @@ def exchange_partner(tube: Tube, js: int, gamma: TubeRoot) -> TubeRoot:
     return _arc(tube, left.bit_length() - 1)
 
 
-def fan(tube: Tube) -> List[TubeRoot]:
+def fan(tube: Tube) -> list[TubeRoot]:
     """The maximal compatible set of the arcs that start at position 0; it
     is the least one in the order of maximal_compatible_sets."""
     return [TubeRoot(tube.index, 0, l) for l in range(1, tube.size)]
 
 
-def maximal_compatible_sets(tube: Tube) -> List[FrozenSet[TubeRoot]]:
+def maximal_compatible_sets(tube: Tube) -> list[frozenset[TubeRoot]]:
     """All maximal compatible arc sets, binom(2k - 2, k - 1) of them in a
     tube of size k (the clusters of type C_{k-1}), found by flips from the
     fan: the flip graph is connected."""
@@ -511,7 +502,7 @@ def maximal_compatible_sets(tube: Tube) -> List[FrozenSet[TubeRoot]]:
     return sorted(sets, key=lambda s: sorted((r.start, r.length) for r in s))
 
 
-def next_larger(tube: Tube, js: int, gamma: TubeRoot) -> Optional[TubeRoot]:
+def next_larger(tube: Tube, js: int, gamma: TubeRoot) -> TubeRoot | None:
     masks = _arc_table(tube.size)[0]
     g = _arc_number(tube, gamma)
     ups = [i for i in _members(js) if i != g and masks[i] & masks[g] == masks[g]]
@@ -538,16 +529,12 @@ def private_element(tube: Tube, js: int, gamma: TubeRoot) -> int:
     return left.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class MaxRootData:
+class MaxRootData(namedtuple("MaxRootData", "beta_idx beta_prime_idx phi phi_prime")):
     """Exchange data for the maximal root gamma = delta - beta of a maximal
     compatible set: beta is the missing simple, beta_prime the private element
-    of gamma, phi/phi_prime the (possibly empty) runs strictly between them."""
+    of gamma, phi/phi_prime the runs strictly between them (None if empty)."""
 
-    beta_idx: int
-    beta_prime_idx: int
-    phi: Optional[TubeRoot]
-    phi_prime: Optional[TubeRoot]
+    __slots__ = ()
 
 
 def max_root_data(tube: Tube, js: int, gamma: TubeRoot) -> MaxRootData:
@@ -569,20 +556,18 @@ def max_root_data(tube: Tube, js: int, gamma: TubeRoot) -> MaxRootData:
     return MaxRootData(beta_idx, beta_prime_idx, phi, phi_prime)
 
 
-@dataclass(frozen=True)
-class NonMaxRootData:
+class NonMaxRootData(
+    namedtuple(
+        "NonMaxRootData", "phi beta_idx beta_prime_idx phi1 phi2 phi3 gamma_owns_beta"
+    )
+):
     """Exchange data for a non-maximal gamma: phi is its next larger root,
     beta/beta_prime the two private elements ordered along Supp(phi) in the
     orbit direction, and phi1/phi2/phi3 the runs of Supp(phi) left after
-    deleting them (before beta, between, after beta_prime)."""
+    deleting them (before beta, between, after beta_prime; None if empty).
+    gamma_owns_beta: gamma's private element is beta (not beta_prime)."""
 
-    phi: TubeRoot
-    beta_idx: int
-    beta_prime_idx: int
-    phi1: Optional[TubeRoot]
-    phi2: Optional[TubeRoot]
-    phi3: Optional[TubeRoot]
-    gamma_owns_beta: bool  # gamma's private element is beta (not beta_prime)
+    __slots__ = ()
 
 
 def nonmax_root_data(tube: Tube, js: int, gamma: TubeRoot) -> NonMaxRootData:
@@ -599,7 +584,7 @@ def nonmax_root_data(tube: Tube, js: int, gamma: TubeRoot) -> NonMaxRootData:
         beta_idx, beta_prime_idx = b_gamma, b_phi
     p_beta, p_prime = pos[beta_idx], pos[beta_prime_idx]
 
-    def run(a: int, b: int) -> Optional[TubeRoot]:
+    def run(a: int, b: int) -> TubeRoot | None:
         if b <= a:
             return None
         return TubeRoot(tube.index, (phi.start + a) % k, b - a)
@@ -620,7 +605,7 @@ def nonmax_root_data(tube: Tube, js: int, gamma: TubeRoot) -> NonMaxRootData:
 
 def _tube_profiles(
     data: AffineData, tubes: Sequence[Tube], phi: RootVec
-) -> Optional[Tuple[List[List[int]], int, int]]:
+) -> tuple[list[list[int]], int, int] | None:
     """Solve phi = sum of orbit vectors with per-tube profiles; returns the
     numerators of the min-reduced profiles and of the total delta
     multiplicity over their common denominator d > 0, or None."""
@@ -639,7 +624,7 @@ def _tube_profiles(
     sol = [0] * len(orbits)
     for r, c in enumerate(pivots):
         sol[c] = reduced[r][-1]
-    profiles: List[List[int]] = []
+    profiles: list[list[int]] = []
     pos = 0
     total = 0
     for tube in tubes:
@@ -660,7 +645,7 @@ def _quotient_text(num: int, den: int) -> str:
 
 def cluster_expansion_imaginary(
     data: AffineData, tubes: Sequence[Tube], phi: RootVec
-) -> Tuple[int, Dict[TubeRoot, int]]:
+) -> tuple[int, dict[TubeRoot, int]]:
     """Decompose phi as m_delta * delta plus a compatible arc combination.
 
     Per tube the profile of orbit coordinates is reduced by its minimum (the
@@ -675,7 +660,7 @@ def cluster_expansion_imaginary(
             f"delta multiplicity {_quotient_text(total, denom)} is not a nonnegative integer"
         )
     m_delta = total // denom
-    arcs: Dict[TubeRoot, int] = {}
+    arcs: dict[TubeRoot, int] = {}
     for tube, profile in zip(tubes, profiles):
         if any(x < 0 or x % denom for x in profile):
             raise NotInImaginaryWall("tube profile is not nonnegative integral")

@@ -15,8 +15,7 @@ import json
 import os
 import re
 import sys
-from importlib import resources
-from typing import Dict, List, Optional, Sequence
+from collections.abc import Sequence
 
 from . import gca, scatter2
 from .affine import (
@@ -53,7 +52,10 @@ class ConfigError(Exception):
 
 def load_matrix(source: str) -> ExtendedExchangeMatrix:
     if source in BUNDLED:
-        text = resources.files("affcluster.matrices").joinpath(f"{source}.json").read_text()
+        # the loader's own read, as pkgutil.get_data does: it also reads
+        # from a zip-imported package
+        path = os.path.join(os.path.dirname(__file__), "matrices", f"{source}.json")
+        text = __spec__.loader.get_data(path)
     else:
         if not os.path.exists(source):
             raise ConfigError(f"no such matrix file or fixture: {source}")
@@ -87,12 +89,12 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-def _parse_ints(text: str) -> List[int]:
+def _parse_ints(text: str) -> list[int]:
     """Comma-separated integers, none empty; a blank text is no integers."""
     return [parse_int(t) for t in text.split(",")] if text.strip() else []
 
 
-def parse_word(text: str, n: int) -> List[int]:
+def parse_word(text: str, n: int) -> list[int]:
     """0-based mutation indices from a comma-separated 1-based word."""
     try:
         word = [k - 1 for k in _parse_ints(text)]
@@ -106,7 +108,7 @@ def parse_word(text: str, n: int) -> List[int]:
     return word
 
 
-def parse_vec(text: str, n: int) -> List[int]:
+def parse_vec(text: str, n: int) -> list[int]:
     """A comma-separated integer vector with exactly n coordinates."""
     try:
         vec = _parse_ints(text)
@@ -326,9 +328,9 @@ def cmd_gca_verify(args) -> int:
 IDENTITIES = ["thetaxi", "cheby", "imexch", "realexch", "expansion", "tube-closure"]
 
 
-def run_identity(eng: ThetaEngine, name: str, kmax: int) -> List[str]:
+def run_identity(eng: ThetaEngine, name: str, kmax: int) -> list[str]:
     """Run one identity family; returns failure descriptions (empty = pass)."""
-    failures: List[str] = []
+    failures: list[str] = []
     if name == "thetaxi":
         if eng.n == 2:
             eng.theta_delta()
@@ -423,7 +425,7 @@ def cmd_verify(args) -> int:
     for tube in eng.tubes:
         for r in all_arcs(tube):
             eng.theta_tube_root(r)
-    failures: Dict[str, List[str]] = {}
+    failures: dict[str, list[str]] = {}
     for name in sorted(names):
         try:
             bad = run_identity(eng, name, kmax=args.kmax)
@@ -511,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kmax", type=parse_int, default=4,
         help="largest multiple of the imaginary ray in the product identities (at least 2); "
-        "the cheby family builds theta up to 2*kmax*delta, so at 4 d4t takes about a second "
-        "but e6t runs for more than five minutes (about 4 s at 2)",
+        "the cheby family builds theta up to 2*kmax*delta, so at 4 d4t takes about 0.3 s "
+        "but e6t runs for more than five minutes (about 2 s at 2)",
     )
 
     p = sub.add_parser("report", help="full structural report for a matrix")
@@ -524,10 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
 # main's parser, built on its first call and reused: a process running many
 # commands builds it once, and importing the module builds none.  A list, so
 # that filling it leaves the module's bindings as they were
-_PARSER: List[argparse.ArgumentParser] = []
+_PARSER: list[argparse.ArgumentParser] = []
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand.  Exit 2 for bad input, including inputs the
     engine rejects (not acyclic or affine, targets it cannot reach or place);
     exit 1 for a failed identity.  Any other exception is an engine bug and

@@ -17,8 +17,8 @@ exchange partner off the graph's edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .affine import (
     Tube,
@@ -30,27 +30,26 @@ from .affine import (
     nonmax_root_data,
 )
 from .poly import LaurentPoly, NonInvertibleImage, VarContext, exact_div
-from .seeds import RootVec, Rows, mutate_rows
+from .seeds import RootVec, mutate_rows
 
-ZKey = Tuple  # ("z", tube_index, orbit_position) or ("star",)
-ZExp = Tuple[int, ...]  # a coefficient: its exponents over GCAContext.zkeys
+ZKey = tuple  # ("z", tube_index, orbit_position) or ("star",)
+ZExp = tuple[int, ...]  # a coefficient: its exponents over GCAContext.zkeys
 
 
-@dataclass(frozen=True)
-class GCAContext:
-    """Variable layout for generalized-seed cluster variables.  A coefficient
-    is a tuple of ints over zkeys: the tropical tail of an exponent in ctx."""
+class GCAContext(namedtuple("GCAContext", "ctx zkeys")):
+    """Variable layout for generalized-seed cluster variables: a VarContext
+    and a tuple of ZKeys.  A coefficient is a tuple of ints over zkeys: the
+    tropical tail of an exponent in ctx."""
 
-    ctx: VarContext
-    zkeys: Tuple[ZKey, ...]
+    __slots__ = ()
 
     def monomial(self, m: ZExp, coeff: int = 1) -> LaurentPoly:
         return LaurentPoly.monomial(self.ctx, (0,) * self.ctx.n + m, coeff)
 
 
 def gca_context(tubes: Sequence[Tube], rank: int) -> GCAContext:
-    zkeys: List[ZKey] = []
-    names: List[str] = [f"a{i+1}" for i in range(rank)]
+    zkeys: list[ZKey] = []
+    names: list[str] = [f"a{i+1}" for i in range(rank)]
     for tube in sorted(tubes, key=lambda t: t.index):
         for t in range(tube.size):
             zkeys.append(("z", tube.index, t))
@@ -61,15 +60,12 @@ def gca_context(tubes: Sequence[Tube], rank: int) -> GCAContext:
     return GCAContext(ctx, tuple(zkeys))
 
 
-@dataclass(frozen=True)
-class GCASeed:
-    """Normalized generalized seed (x, p, B) with exchange degrees d."""
+class GCASeed(namedtuple("GCASeed", "gctx x p b d")):
+    """Normalized generalized seed (x, p, B) with exchange degrees d: x a
+    tuple of LaurentPolys, p one tuple of d_i + 1 ZExps per direction, b the
+    rows of B."""
 
-    gctx: GCAContext
-    x: Tuple[LaurentPoly, ...]
-    p: Tuple[Tuple[ZExp, ...], ...]
-    b: Rows
-    d: Tuple[int, ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -90,7 +86,7 @@ class GCASeed:
                     raise AssertionError("halved matrix is not skew-symmetric")
 
 
-def _z(gctx: GCAContext, tube: Tube, arc: Optional[TubeRoot], pos: int) -> ZExp:
+def _z(gctx: GCAContext, tube: Tube, arc: TubeRoot | None, pos: int) -> ZExp:
     """z^arc z_pos: z_beta over the arc's support (none if None) times the
     z_beta at orbit position pos."""
     e = [0] * len(gctx.zkeys)
@@ -102,13 +98,13 @@ def _z(gctx: GCAContext, tube: Tube, arc: Optional[TubeRoot], pos: int) -> ZExp:
 
 def _column_entries(
     gctx: GCAContext, tube: Tube, js: int, gamma: TubeRoot
-) -> Tuple[Dict[TubeRoot, int], Tuple[ZExp, ...], int]:
+) -> tuple[dict[TubeRoot, int], tuple[ZExp, ...], int]:
     """Column of B indexed by gamma, its coefficient tuple, and its degree;
     js is gamma's tube part of the labels, checked by check_maximal."""
     k = tube.size
     if gamma.length == k - 1:
         info = max_root_data(tube, js, gamma)
-        col: Dict[TubeRoot, int] = {}
+        col: dict[TubeRoot, int] = {}
         if info.phi is not None:
             col[info.phi] = 2
         if info.phi_prime is not None:
@@ -139,23 +135,23 @@ def _column_entries(
 
 def build_tube_seed(
     tubes: Sequence[Tube], labels: Iterable[TubeRoot]
-) -> Tuple[GCASeed, Tuple[TubeRoot, ...]]:
+) -> tuple[GCASeed, tuple[TubeRoot, ...]]:
     """Generalized seed for a maximal compatible set of arcs.
 
     `labels` may span several tubes (block-diagonal seed); per tube it must be
     a maximal pairwise compatible set.  Returns the seed and the arc labels in
     position order."""
     ordered = tuple(sorted(set(labels)))
-    by_tube: Dict[int, List[TubeRoot]] = {}
+    by_tube: dict[int, list[TubeRoot]] = {}
     for r in ordered:
         by_tube.setdefault(r.tube, []).append(r)
     used_tubes = [t for t in tubes if t.index in by_tube]
     checked = {t.index: check_maximal(t, by_tube[t.index]) for t in used_tubes}
     gctx = gca_context(used_tubes, len(ordered))
     x = tuple(LaurentPoly.var(gctx.ctx, i) for i in range(len(ordered)))
-    cols: List[Dict[TubeRoot, int]] = []
-    ps: List[Tuple[ZExp, ...]] = []
-    ds: List[int] = []
+    cols: list[dict[TubeRoot, int]] = []
+    ps: list[tuple[ZExp, ...]] = []
+    ds: list[int] = []
     tube_by_index = {t.index: t for t in tubes}
     for gamma in ordered:
         col, p, deg = _column_entries(gctx, tube_by_index[gamma.tube], checked[gamma.tube], gamma)
@@ -171,13 +167,13 @@ def build_tube_seed(
     return seed, ordered
 
 
-def _exchange_exponents(seed: GCASeed, k: int) -> List[Dict[int, int]]:
+def _exchange_exponents(seed: GCASeed, k: int) -> list[dict[int, int]]:
     """Per l = 0..d_k, the nonzero exponents [b_psi_k]_+ - l b_psi_k / d_k of
     the exchange monomial, keyed by position psi."""
     d = seed.d[k]
-    out: List[Dict[int, int]] = []
+    out: list[dict[int, int]] = []
     for ell in range(d + 1):
-        exps: Dict[int, int] = {}
+        exps: dict[int, int] = {}
         for psi in range(seed.rank):
             bpk = seed.b[psi][k]
             if bpk % d != 0:
@@ -206,7 +202,7 @@ def gca_mutate(seed: GCASeed, k: int) -> GCASeed:
     rank = seed.rank
     new_x = exact_div(_exchange_numerator(seed, k), seed.x[k])
     xs = tuple(new_x if i == k else v for i, v in enumerate(seed.x))
-    new_p: List[Tuple[ZExp, ...]] = []
+    new_p: list[tuple[ZExp, ...]] = []
     for j in range(rank):
         if j == k:
             new_p.append(tuple(reversed(seed.p[k])))
@@ -224,7 +220,7 @@ def gca_mutate(seed: GCASeed, k: int) -> GCASeed:
         denom = tuple(
             min(a + pos * f, b + neg * g) for a, b, f, g in zip(pj[0], pj[dj], first, last)
         )
-        row: List[ZExp] = []
+        row: list[ZExp] = []
         for ell in range(dj + 1):
             e1, r1 = divmod((dj - ell) * pos, dj)
             e2, r2 = divmod(ell * neg, dj)
@@ -240,11 +236,34 @@ def gca_mutate(seed: GCASeed, k: int) -> GCASeed:
     return out
 
 
-@dataclass
 class ExchangeGraph:
-    vertices: List[GCASeed]
-    labels: List[Tuple[TubeRoot, ...]]
-    edges: List[Tuple[int, int, int]]  # (vertex, vertex, direction index)
+    """Seeds, their arc labels, and edges (vertex, vertex, direction index),
+    grown in place; unhashable, and equal to a graph with equal lists."""
+
+    __slots__ = ("vertices", "labels", "edges")
+
+    def __init__(
+        self,
+        vertices: list[GCASeed],
+        labels: list[tuple[TubeRoot, ...]],
+        edges: list[tuple[int, int, int]],
+    ) -> None:
+        self.vertices = vertices
+        self.labels = labels
+        self.edges = edges
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.labels, self.edges) == (
+            other.vertices, other.labels, other.edges
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ExchangeGraph(vertices={self.vertices!r}, labels={self.labels!r}, "
+            f"edges={self.edges!r})"
+        )
 
 
 def _relabeled(seed: GCASeed, labels: Sequence[TubeRoot], order: Sequence[TubeRoot]) -> GCASeed:
@@ -262,7 +281,7 @@ def _relabeled(seed: GCASeed, labels: Sequence[TubeRoot], order: Sequence[TubeRo
 def enumerate_exchange_graph(
     tubes: Sequence[Tube],
     seed: GCASeed,
-    labels: Tuple[TubeRoot, ...],
+    labels: tuple[TubeRoot, ...],
 ) -> ExchangeGraph:
     """BFS over generalized seed mutation; a vertex is its arc set.
 
@@ -275,7 +294,7 @@ def enumerate_exchange_graph(
     cluster included; and no two vertices share a cluster.  The graph is
     finite: a tube has finitely many arc sets."""
     tube_by_index = {t.index: t for t in tubes}
-    index: Dict[FrozenSet[TubeRoot], int] = {frozenset(labels): 0}
+    index: dict[frozenset[TubeRoot], int] = {frozenset(labels): 0}
     graph = ExchangeGraph([seed], [labels], [])
     vid = 0
     while vid < len(graph.vertices):

@@ -4,7 +4,7 @@ A Laurent polynomial is a dictionary mapping exponent tuples to nonzero
 integer coefficients.  Exponents may be negative in every position, so the
 representation is exact and identity testing is fully reliable.
 
-  LaurentPoly.terms :  Dict[Tuple[int, ...], int]
+  LaurentPoly.terms :  dict[tuple[int, ...], int]
 
 Every polynomial belongs to a VarContext naming two groups of variables:
 n "cluster" variables followed by m "tropical" variables.  The split only
@@ -35,13 +35,13 @@ import json
 import re
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from itertools import compress, groupby, product, repeat, tee
 from math import isqrt, prod
 from operator import add, itemgetter, lshift, lt, mul, neg, not_, sub
-from typing import Dict, Iterable, Mapping, Tuple
 
-Exponent = Tuple[int, ...]
+Exponent = tuple[int, ...]
 
 
 class ContextMismatch(ValueError):
@@ -60,30 +60,28 @@ class NotPointed(ValueError):
     """pointed_form found no x^g * (1 + tail) decomposition."""
 
 
-@dataclass(frozen=True)
-class VarContext:
+class VarContext(namedtuple("VarContext", "n m names")):
     """Fixed, ordered variable set: n cluster variables then m tropical ones."""
 
-    n: int
-    m: int
-    names: Tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, m: int, names: tuple[str, ...]) -> VarContext:
+        if n < 1:
             raise ValueError("need at least one cluster variable")
-        if self.m < 0:
+        if m < 0:
             raise ValueError("m must be nonnegative")
-        if len(self.names) != self.n + self.m:
+        if len(names) != n + m:
             raise ValueError("names must have length n+m")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
+        return super().__new__(cls, n, m, names)
 
     @property
     def nvars(self) -> int:
         return self.n + self.m
 
 
-def _default_names(n: int, m: int) -> Tuple[str, ...]:
+def _default_names(n: int, m: int) -> tuple[str, ...]:
     return tuple(f"x{i+1}" for i in range(n)) + tuple(f"u{i+1}" for i in range(m))
 
 
@@ -92,13 +90,13 @@ def default_context(n: int, m: int) -> VarContext:
     return VarContext(n, m, _default_names(n, m))
 
 
-def _grlex_key(e: Exponent) -> Tuple[int, Exponent]:
+def _grlex_key(e: Exponent) -> tuple[int, Exponent]:
     return (sum(e), e)
 
 
-def _sparse_product(f: Mapping[Exponent, int], g: Mapping[Exponent, int]) -> Dict[Exponent, int]:
+def _sparse_product(f: Mapping[Exponent, int], g: Mapping[Exponent, int]) -> dict[Exponent, int]:
     """Term-by-term product; the result may hold zero coefficients."""
-    out: Dict[Exponent, int] = {}
+    out: dict[Exponent, int] = {}
     get = out.get
     for e1, c1 in f.items():
         for e2, c2 in g.items():
@@ -139,7 +137,7 @@ _EXACT = decimal.Context(
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def mul_terms(f: Mapping[Exponent, int], g: Mapping[Exponent, int]) -> Dict[Exponent, int]:
+def mul_terms(f: Mapping[Exponent, int], g: Mapping[Exponent, int]) -> dict[Exponent, int]:
     """The product of two term maps {exponent tuple: nonzero int}, with only
     nonzero coefficients kept.  Exponents may be negative.
 
@@ -186,7 +184,7 @@ def _packed_product(
     gcols: list,
     glo: list,
     dims: list,
-) -> Dict[Exponent, int]:
+) -> dict[Exponent, int]:
     """The product of f and g, whose exponents have the columns fcols and
     gcols with least entries flo and glo, in the box of dims lattice points
     from flo + glo.
@@ -375,7 +373,7 @@ class LaurentPoly:
 
     def __init__(self, ctx: VarContext, terms: Mapping[Exponent, int]) -> None:
         self.ctx = ctx
-        self.terms: Dict[Exponent, int] = {
+        self.terms: dict[Exponent, int] = {
             e: c for e, c in terms.items() if c != 0
         }
         for e in self.terms:
@@ -415,7 +413,7 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash((self.ctx, self.canonical_key()))
 
-    def canonical_key(self) -> Tuple[Tuple[Exponent, int], ...]:
+    def canonical_key(self) -> tuple[tuple[Exponent, int], ...]:
         """Deterministic term list, graded-lex descending."""
         return tuple(
             (e, self.terms[e])
@@ -482,7 +480,7 @@ class LaurentPoly:
         cols = zip(*self.terms.keys())
         return tuple(min(col) for col in cols)
 
-    def leading(self) -> Tuple[Exponent, int]:
+    def leading(self) -> tuple[Exponent, int]:
         """Graded-lex leading term."""
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
@@ -536,12 +534,12 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     lead_e, lead_c = b.leading()
     # the remainder's exponents, largest graded-lex first; an entry whose
     # term has since cancelled is skipped when it comes up
-    def key(e: Exponent) -> Tuple[int, Exponent]:
+    def key(e: Exponent) -> tuple[int, Exponent]:
         return (-sum(e), tuple(-x for x in e))
 
     heap = [key(e) for e in r]
     heapq.heapify(heap)
-    quotient: Dict[Exponent, int] = {}
+    quotient: dict[Exponent, int] = {}
     while r:
         _, neg = heapq.heappop(heap)
         re = tuple(-x for x in neg)
@@ -586,7 +584,7 @@ def substitute(p: LaurentPoly, images: Mapping[int, LaurentPoly]) -> LaurentPoly
                     f"variable {ctx.names[i]} appears with negative exponent "
                     "but its image is not an invertible monomial"
                 )
-    power_cache: Dict[Tuple[int, int], LaurentPoly] = {}
+    power_cache: dict[tuple[int, int], LaurentPoly] = {}
 
     def power(i: int, k: int) -> LaurentPoly:
         key = (i, k)
@@ -594,7 +592,7 @@ def substitute(p: LaurentPoly, images: Mapping[int, LaurentPoly]) -> LaurentPoly
             power_cache[key] = images[i] ** k
         return power_cache[key]
 
-    out: Dict[Exponent, int] = {}
+    out: dict[Exponent, int] = {}
     for e, c in p.terms.items():
         passthrough = tuple(0 if i in images else x for i, x in enumerate(e))
         term = LaurentPoly.monomial(ctx, passthrough, c)
@@ -606,7 +604,7 @@ def substitute(p: LaurentPoly, images: Mapping[int, LaurentPoly]) -> LaurentPoly
     return LaurentPoly(ctx, out)
 
 
-def pointed_split(p: LaurentPoly) -> Tuple[Tuple[int, ...], LaurentPoly]:
+def pointed_split(p: LaurentPoly) -> tuple[tuple[int, ...], LaurentPoly]:
     """Split p as x^g * tail with tail constant term 1, tail signs unchecked.
 
     The candidate x^g is the unique term free of the tropical variables; its
@@ -626,7 +624,7 @@ def pointed_split(p: LaurentPoly) -> Tuple[Tuple[int, ...], LaurentPoly]:
     return g_full[: ctx.n], p.shift(tuple(-x for x in g_full))
 
 
-def pointed_form(p: LaurentPoly) -> Tuple[Tuple[int, ...], LaurentPoly]:
+def pointed_form(p: LaurentPoly) -> tuple[tuple[int, ...], LaurentPoly]:
     """pointed_split, and every tail term must carry only nonnegative
     tropical exponents.  Raises NotPointed."""
     g, tail = pointed_split(p)
@@ -674,7 +672,7 @@ def from_json_dict(d: dict, ctx: VarContext | None = None) -> LaurentPoly:
         ctx = VarContext(n, len(names) - n, names)
     elif ctx.names != names:
         raise ContextMismatch("JSON variable list does not match context")
-    terms: Dict[Exponent, int] = {}
+    terms: dict[Exponent, int] = {}
     for t in d["terms"]:
         e = tuple(map(json_int, t["e"]))
         text = t["c"]

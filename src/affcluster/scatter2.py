@@ -18,18 +18,18 @@ never assumed; it is produced by consistency completion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
-from typing import Dict, List, Sequence, Tuple
 
 from .poly import Exponent, LaurentPoly, VarContext, default_context
 from .seeds import Rows, WeightVec, coroot_scalers, primitive_coroot
 
-Vec2 = Tuple[int, int]
+Vec2 = tuple[int, int]
 # a pointed term map: m -> c stands for c x^{start + B m} u^m
-Terms = Dict[Vec2, int]
+Terms = dict[Vec2, int]
 
 
 class InconsistentDiagram(AssertionError):
@@ -45,7 +45,7 @@ def _cross(a: Sequence, b: Sequence):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _mul_truncated(p: List[int], q: List[int]) -> List[int]:
+def _mul_truncated(p: list[int], q: list[int]) -> list[int]:
     """The product of two power series in t, both with len(p) coefficients,
     truncated to that length."""
     return [sum(p[j] * q[k - j] for j in range(k + 1)) for k in range(len(p))]
@@ -54,7 +54,6 @@ def _mul_truncated(p: List[int], q: List[int]) -> List[int]:
 _CTX: VarContext = default_context(2, 2)
 
 
-@dataclass
 class Wall2:
     """A wall: primitive normal in Q^+, a geometric locus (full line for the
     initial walls, ray from the origin otherwise), and a series in
@@ -63,16 +62,43 @@ class Wall2:
 
     An initial wall keeps its binomial 1 + t untruncated, so at order 0
     `series` (and `scatter2 --order 0`) still reads 1 + yhat^normal, while
-    every power of it is truncated to degree 0."""
+    every power of it is truncated to degree 0.
 
-    normal: Vec2
-    direction: Vec2  # a primitive direction vector; full lines use +-direction
-    is_line: bool
-    coroot: Vec2  # the primitive coroot parallel to normal
-    yhat: Exponent  # exponent of yhat^normal = x^{B normal} u^normal
-    coeffs: List[int]
-    # f^a by exponent a, truncated at the diagram's order; cleared on change
-    powers: Dict[int, List[int]] = field(default_factory=dict, repr=False, compare=False)
+    Mutable and unhashable; `powers` is a cache, left out of == and repr."""
+
+    __slots__ = ("normal", "direction", "is_line", "coroot", "yhat", "coeffs", "powers")
+
+    def __init__(
+        self,
+        normal: Vec2,
+        direction: Vec2,  # a primitive direction vector; full lines use +-direction
+        is_line: bool,
+        coroot: Vec2,  # the primitive coroot parallel to normal
+        yhat: Exponent,  # exponent of yhat^normal = x^{B normal} u^normal
+        coeffs: list[int],
+    ) -> None:
+        self.normal = normal
+        self.direction = direction
+        self.is_line = is_line
+        self.coroot = coroot
+        self.yhat = yhat
+        self.coeffs = coeffs
+        # f^a by exponent a, truncated at the diagram's order; cleared on change
+        self.powers: dict[int, list[int]] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.normal, self.direction, self.is_line, self.coroot, self.yhat, self.coeffs) == (
+            other.normal, other.direction, other.is_line, other.coroot, other.yhat, other.coeffs
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Wall2(normal={self.normal!r}, direction={self.direction!r}, "
+            f"is_line={self.is_line!r}, coroot={self.coroot!r}, yhat={self.yhat!r}, "
+            f"coeffs={self.coeffs!r})"
+        )
 
     @property
     def series(self) -> LaurentPoly:
@@ -94,14 +120,14 @@ class ScatteringDiagram2:
         self.order = order
         self.ctx: VarContext = _CTX
         self.e = coroot_scalers(self.b)
-        self.walls: List[Wall2] = []
+        self.walls: list[Wall2] = []
         for i in range(2):
             normal = (1, 0) if i == 0 else (0, 1)
             direction = (0, 1) if i == 0 else (1, 0)
             self.walls.append(self._wall(normal, direction, True, [1, 1]))
         self._complete()
 
-    def _wall(self, normal: Vec2, direction: Vec2, is_line: bool, coeffs: List[int]) -> Wall2:
+    def _wall(self, normal: Vec2, direction: Vec2, is_line: bool, coeffs: list[int]) -> Wall2:
         return Wall2(
             normal, direction, is_line, self.coroot(normal), self._yhat(normal), coeffs
         )
@@ -131,7 +157,7 @@ class ScatteringDiagram2:
 
     # -- wall crossing -----------------------------------------------------------
 
-    def _power(self, wall: Wall2, a: int) -> List[int]:
+    def _power(self, wall: Wall2, a: int) -> list[int]:
         """Coefficients of f^a in t = yhat^normal, a of either sign, truncated
         to t^K with K = order // (n1 + n2).  f^-1 comes from
         inv[k] = -sum_{j=1..k} c[j] inv[k-j]; every other power is one factor
@@ -196,19 +222,19 @@ class ScatteringDiagram2:
 
     _BASE = (7, 3)  # interior of the positive chamber, off every wall
 
-    def _sites(self) -> List[Tuple[Vec2, Wall2]]:
+    def _sites(self) -> list[tuple[Vec2, Wall2]]:
         """(direction, wall) per ray of every wall; a full line gives two."""
-        sites: List[Tuple[Vec2, Wall2]] = []
+        sites: list[tuple[Vec2, Wall2]] = []
         for w in self.walls:
             sites.append((w.direction, w))
             if w.is_line:
                 sites.append(((-w.direction[0], -w.direction[1]), w))
         return sites
 
-    def _crossings(self) -> List[Tuple[Vec2, Wall2]]:
+    def _crossings(self) -> list[tuple[Vec2, Wall2]]:
         base = self._BASE
 
-        def compare(a: Tuple[Vec2, Wall2], b: Tuple[Vec2, Wall2]) -> int:
+        def compare(a: tuple[Vec2, Wall2], b: tuple[Vec2, Wall2]) -> int:
             va, vb = a[0], b[0]
             ha = 0 if _cross(base, va) > 0 else 1
             hb = 0 if _cross(base, vb) > 0 else 1
@@ -240,14 +266,14 @@ class ScatteringDiagram2:
     # -- completion ------------------------------------------------------------------
 
     def _complete(self) -> None:
-        by_normal: Dict[Vec2, Wall2] = {}
-        defects: List[Terms] = []
+        by_normal: dict[Vec2, Wall2] = {}
+        defects: list[Terms] = []
         for deg in range(2, self.order + 1):
             # the walls change only when a degree needs corrections, so the
             # previous degree's recheck already holds this degree's defects
             if not defects:
                 defects = [self._defect_terms(gen) for gen in range(2)]
-            needed: Dict[Vec2, Dict[int, int]] = {}
+            needed: dict[Vec2, dict[int, int]] = {}
             for gen, terms in enumerate(defects):
                 for m, c in terms.items():
                     total = m[0] + m[1]
@@ -298,21 +324,19 @@ def complete_scattering_rank2(b: Rows, order: int = 8) -> ScatteringDiagram2:
 DEFAULT_ENDPOINT = (Fraction(9974, 9973), Fraction(19803, 9901))  # ~ rho1 + 2 rho2
 
 
-@dataclass(frozen=True)
-class BrokenLine2:
-    """A realizable bend sequence with its accumulated monomials."""
+class BrokenLine2(namedtuple("BrokenLine2", "picks coeff weight tropical")):
+    """A realizable bend sequence with its accumulated monomials: picks holds
+    (site direction, wall normal, power) per bend, weight is the final
+    x-exponent (lambda_s) and tropical the final u-exponent (beta_s)."""
 
-    picks: Tuple[Tuple[Vec2, Vec2, int], ...]  # (site direction, wall normal, power)
-    coeff: int
-    weight: Vec2  # final x-exponent (lambda_s)
-    tropical: Vec2  # final u-exponent (beta_s)
+    __slots__ = ()
 
 
 def enumerate_broken_lines_rank2(
     diagram: ScatteringDiagram2,
     lam: WeightVec,
-    endpoint: Tuple[Fraction, Fraction] = DEFAULT_ENDPOINT,
-) -> List[BrokenLine2]:
+    endpoint: tuple[Fraction, Fraction] = DEFAULT_ENDPOINT,
+) -> list[BrokenLine2]:
     """All broken lines for lam with the given generic endpoint, up to the
     diagram's tropical order.
 
@@ -335,7 +359,7 @@ def enumerate_broken_lines_rank2(
     sites = diagram._sites()
     q = lcm(endpoint[0].denominator, endpoint[1].denominator)
     chi = tuple(x.numerator * (q // x.denominator) for x in endpoint)
-    out: List[BrokenLine2] = []
+    out: list[BrokenLine2] = []
 
     def final_check(path, lam_cur) -> bool:
         """Close the line at the endpoint: s_1 and the final travel time to
@@ -390,7 +414,7 @@ def enumerate_broken_lines_rank2(
 def _sum_monomials(ctx: VarContext, monomials) -> LaurentPoly:
     """One LaurentPoly from (exponent, coefficient) pairs, like exponents
     added together."""
-    total: Dict[Exponent, int] = {}
+    total: dict[Exponent, int] = {}
     for e, c in monomials:
         total[e] = total.get(e, 0) + c
     return LaurentPoly(ctx, total)
@@ -399,7 +423,7 @@ def _sum_monomials(ctx: VarContext, monomials) -> LaurentPoly:
 def theta_via_broken_lines(
     diagram: ScatteringDiagram2,
     lam: WeightVec,
-    endpoint: Tuple[Fraction, Fraction] = DEFAULT_ENDPOINT,
+    endpoint: tuple[Fraction, Fraction] = DEFAULT_ENDPOINT,
 ) -> LaurentPoly:
     """Sum of final monomials over broken lines (truncated theta function)."""
     if lam.coords == (0, 0):

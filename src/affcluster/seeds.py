@@ -14,10 +14,10 @@ builds the seed's extended exchange matrix only when it expands that seed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from math import gcd
 from operator import neg
-from typing import Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .poly import (
     LaurentPoly,
@@ -27,7 +27,7 @@ from .poly import (
     pointed_form,
 )
 
-Rows = Tuple[Tuple[int, ...], ...]
+Rows = tuple[tuple[int, ...], ...]
 
 
 class NonSkewSymmetrizable(ValueError):
@@ -46,31 +46,53 @@ class NotFound(LookupError):
         self.depth = depth
 
 
-V = TypeVar("V", bound="_IntVec")
-
-
-@dataclass(frozen=True)
 class _IntVec:
     """Integer coordinate vector; arithmetic keeps the subclass, and vectors
-    of different subclasses (bases) never compare equal."""
+    of different subclasses (bases) never compare equal.  Immutable, and
+    hashed as the tuple (coords,)."""
 
-    coords: Tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __add__(self: V, other: V) -> V:
+    def __init__(self, coords: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coords={self.coords!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.coords,)
+
+    def __add__(self, other: _IntVec) -> _IntVec:
         return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self: V, other: V) -> V:
+    def __sub__(self, other: _IntVec) -> _IntVec:
         return type(self)(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self: V) -> V:
+    def __neg__(self) -> _IntVec:
         return type(self)(tuple(-a for a in self.coords))
 
-    def scale(self: V, k: int) -> V:
+    def scale(self, k: int) -> _IntVec:
         return type(self)(tuple(k * a for a in self.coords))
 
 
 class RootVec(_IntVec):
     """Integer vector in the simple-root basis."""
+
+    __slots__ = ()
 
     def height(self) -> int:
         return sum(self.coords)
@@ -79,8 +101,10 @@ class RootVec(_IntVec):
 class WeightVec(_IntVec):
     """Integer vector in the fundamental-weight basis."""
 
+    __slots__ = ()
 
-def primitive_coroot(v: Sequence[int], e: Sequence[int]) -> Tuple[int, ...]:
+
+def primitive_coroot(v: Sequence[int], e: Sequence[int]) -> tuple[int, ...]:
     """Simple-coroot coordinates of the primitive coroot parallel to the root
     v, given the scalers e_i with alpha_i_check = e_i alpha_i."""
     # smallest k with k*v_i/e_i integral for all i
@@ -95,21 +119,20 @@ def _pos(x: int) -> int:
     return x if x > 0 else 0
 
 
-@dataclass(frozen=True)
-class ExtendedExchangeMatrix:
+class ExtendedExchangeMatrix(namedtuple("ExtendedExchangeMatrix", "rows n")):
     """(n+m) x n integer matrix whose top square block is skew-symmetrizable."""
 
-    rows: Rows
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, rows: Rows, n: int) -> ExtendedExchangeMatrix:
+        if n < 1:
             raise ValueError("need n >= 1")
-        if any(len(r) != self.n for r in self.rows):
+        if any(len(r) != n for r in rows):
             raise ValueError("all rows must have length n")
-        if len(self.rows) < self.n:
+        if len(rows) < n:
             raise ValueError("need at least n rows")
-        coroot_scalers(self.top())  # raises NonSkewSymmetrizable
+        coroot_scalers(rows[:n])  # raises NonSkewSymmetrizable
+        return super().__new__(cls, rows, n)
 
     @property
     def m(self) -> int:
@@ -154,7 +177,7 @@ def mutate_rows(rows: Rows, k: int) -> Rows:
     return tuple(out)
 
 
-def coroot_scalers(b: Rows) -> Tuple[int, ...]:
+def coroot_scalers(b: Rows) -> tuple[int, ...]:
     """The integers e_i = 1/d_i (alpha_i_check = e_i alpha_i) of the positive
     skew-symmetrizer d: e_j b_ij = -e_i b_ji, with gcd 1.  One integer graph
     walk; each component starts at e_0, the common scale, and the whole
@@ -208,19 +231,18 @@ def column_sign(matrix: ExtendedExchangeMatrix, k: int) -> int:
     raise UnsignedColumn(f"coefficient column {k} has mixed signs")
 
 
-@dataclass(frozen=True)
-class Seed:
-    """An extended exchange matrix together with its cluster variables."""
+class Seed(namedtuple("Seed", "matrix cluster")):
+    """An extended exchange matrix together with its cluster variables (a
+    tuple of LaurentPolys)."""
 
-    matrix: ExtendedExchangeMatrix
-    cluster: Tuple[LaurentPoly, ...]
+    __slots__ = ()
 
     @property
     def ctx(self) -> VarContext:
         return self.cluster[0].ctx
 
 
-def initial_seed(matrix: ExtendedExchangeMatrix, ctx: Optional[VarContext] = None) -> Seed:
+def initial_seed(matrix: ExtendedExchangeMatrix, ctx: VarContext | None = None) -> Seed:
     n, m = matrix.n, matrix.m
     if ctx is None:
         ctx = default_context(n, m)
@@ -251,7 +273,7 @@ def exchange_rhs(seed: Seed, k: int) -> LaurentPoly:
     s = column_sign(seed.matrix, k)
     ycol = [seed.matrix.rows[n + i][k] for i in range(m)]
 
-    def xprod(exps: List[int]) -> LaurentPoly:
+    def xprod(exps: list[int]) -> LaurentPoly:
         out = LaurentPoly.const(ctx, 1)
         for i in range(n):
             if exps[i]:

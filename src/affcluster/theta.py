@@ -30,9 +30,9 @@ properties by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from operator import add, mul, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import affine
 from .affine import (
@@ -64,18 +64,17 @@ class IdentityViolated(AssertionError):
     """An identity that the engine relies on failed symbolically."""
 
 
-@dataclass(frozen=True)
-class Grading:
-    """The pointed grading of a principal-coefficient engine: the term u^beta
-    of an F-polynomial at a label is x^(label + B beta) u^beta."""
+class Grading(namedtuple("Grading", "ctx b")):
+    """The pointed grading of a principal-coefficient engine, a VarContext
+    and the rows of B: the term u^beta of an F-polynomial at a label is
+    x^(label + B beta) u^beta."""
 
-    ctx: VarContext
-    b: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
     def x_part(self, label: Exponent, beta: Exponent) -> Exponent:
         return tuple(x + sum(map(mul, row, beta)) for x, row in zip(label, self.b))
 
-    def poly(self, label: Exponent, f: Dict[Exponent, int]) -> LaurentPoly:
+    def poly(self, label: Exponent, f: dict[Exponent, int]) -> LaurentPoly:
         return LaurentPoly(self.ctx, {self.x_part(label, beta) + beta: c for beta, c in f.items()})
 
 
@@ -91,11 +90,11 @@ class ThetaFunction:
 
     __slots__ = ("label", "f", "_grading", "_poly")
 
-    def __init__(self, label: WeightVec, f: Dict[Exponent, int], grading: Grading) -> None:
+    def __init__(self, label: WeightVec, f: dict[Exponent, int], grading: Grading) -> None:
         self.label = label
         self.f = f
         self._grading = grading
-        self._poly: Optional[LaurentPoly] = None
+        self._poly: LaurentPoly | None = None
 
     @property
     def poly(self) -> LaurentPoly:
@@ -108,10 +107,10 @@ class ThetaFunction:
 
 
 # A term c * y^gamma * theta of a sum; gamma None is y^0, theta None is 1.
-Term = Tuple[int, Optional[RootVec], Optional[ThetaFunction]]
+Term = tuple[int, RootVec | None, ThetaFunction | None]
 
 
-def _add_into(target: Dict[Exponent, int], terms: Dict[Exponent, int], sign: int) -> None:
+def _add_into(target: dict[Exponent, int], terms: dict[Exponent, int], sign: int) -> None:
     """target += sign * terms, keeping only nonzero coefficients: a
     coefficient that cancels is dropped at once."""
     get = target.get
@@ -150,17 +149,17 @@ class ThetaEngine:
 
     def __init__(self, b_rows) -> None:
         self.data: AffineData = affine.build_affine_data(b_rows)
-        self.tubes: List[Tube] = affine.detect_tubes(self.data)
+        self.tubes: list[Tube] = affine.detect_tubes(self.data)
         self.n = self.data.n
         self.nu_delta: WeightVec = self.data.nu_c(self.data.delta)
         self.matrix: ExtendedExchangeMatrix = principal_extension(self.data.b)
         self.ctx: VarContext = default_context(self.n, self.n)
         self.grading = Grading(self.ctx, self.data.b)
         self._frontier = enumerate_gvector_frontier(self.matrix, SEARCH_DEPTH)
-        self._gvec_index: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
-        self._seed_cache: Dict[Tuple[int, ...], Seed] = {(): initial_seed(self.matrix, self.ctx)}
+        self._gvec_index: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        self._seed_cache: dict[tuple[int, ...], Seed] = {(): initial_seed(self.matrix, self.ctx)}
         zero = (0,) * self.n
-        self._thetas: Dict[Tuple[int, ...], ThetaFunction] = {
+        self._thetas: dict[tuple[int, ...], ThetaFunction] = {
             zero: ThetaFunction(WeightVec(zero), {zero: 1}, self.grading)
         }
 
@@ -169,7 +168,7 @@ class ThetaEngine:
     def one(self) -> LaurentPoly:
         return LaurentPoly.const(self.ctx, 1)
 
-    def assert_pointed(self, poly: LaurentPoly, label: WeightVec) -> Dict[Exponent, int]:
+    def assert_pointed(self, poly: LaurentPoly, label: WeightVec) -> dict[Exponent, int]:
         """Pointedness at the label: p = x^label (1 + sum c_beta yhat^beta)
         with beta > 0 and c_beta > 0, i.e. every term is
         x^(label + B beta) u^beta.  Returns the F-polynomial beta -> c_beta."""
@@ -180,7 +179,7 @@ class ThetaEngine:
         self._check_f(f)
         return f
 
-    def _check_f(self, f: Dict[Exponent, int]) -> None:
+    def _check_f(self, f: dict[Exponent, int]) -> None:
         """F(0) = 1, beta >= 0 and every coefficient positive."""
         one = f.get((0,) * self.n)
         if one is None:
@@ -198,14 +197,14 @@ class ThetaEngine:
         """theta_a * theta_b in pointed form: the label sum and the F product."""
         return ThetaFunction(a.label + b.label, mul_terms(a.f, b.f), self.grading)
 
-    def product(self, thetas: Iterable[ThetaFunction]) -> Optional[ThetaFunction]:
+    def product(self, thetas: Iterable[ThetaFunction]) -> ThetaFunction | None:
         """The pointed product of the thetas; None, the constant 1, for none."""
         out = None
         for theta in thetas:
             out = theta if out is None else self.multiply(out, theta)
         return out
 
-    def _collect(self, terms: Iterable[Term]) -> Dict[Exponent, Dict[Exponent, int]]:
+    def _collect(self, terms: Iterable[Term]) -> dict[Exponent, dict[Exponent, int]]:
         """sum c y^gamma theta as label -> F, nonzero coefficients only.
 
         y^gamma theta has the term F(beta) at (label - B gamma, beta + gamma),
@@ -215,7 +214,7 @@ class ThetaEngine:
         term is merged by _add_into, and a label whose map cancels is
         dropped, so no map and no coefficient in the result is zero."""
         zero = (0,) * self.n
-        out: Dict[Exponent, Dict[Exponent, int]] = {}
+        out: dict[Exponent, dict[Exponent, int]] = {}
         for c, gamma, theta in terms:
             if not c:
                 continue
@@ -254,7 +253,7 @@ class ThetaEngine:
 
     # -- g-vector fan thetas ---------------------------------------------------
 
-    def _seed_for_word(self, word: Tuple[int, ...]) -> Seed:
+    def _seed_for_word(self, word: tuple[int, ...]) -> Seed:
         if word in self._seed_cache:
             return self._seed_cache[word]
         seed = mutate_seed_word(self._seed_for_word(word[:-1]), [word[-1]])
@@ -286,7 +285,7 @@ class ThetaEngine:
             theta = self._thetas[label.coords] = self.theta_gfan(label)
         return theta
 
-    def _arc_product(self, *arcs: Optional[TubeRoot]) -> Optional[ThetaFunction]:
+    def _arc_product(self, *arcs: TubeRoot | None) -> ThetaFunction | None:
         """The pointed product of the arcs' thetas, None arcs skipped."""
         return self.product(self.theta_tube_root(r) for r in arcs if r)
 
@@ -385,7 +384,7 @@ class ThetaEngine:
 
     def expand_product(
         self, a: ThetaFunction, b: ThetaFunction
-    ) -> Dict[WeightVec, LaurentPoly]:
+    ) -> dict[WeightVec, LaurentPoly]:
         """Expand theta_a * theta_b as a k[y]-combination of thetas with
         positive coefficients (theta-basis positivity).
 
@@ -400,7 +399,7 @@ class ThetaEngine:
         lam = (a.label + b.label).coords
         x_part = self.grading.x_part
         remainder = mul_terms(a.f, b.f)
-        combo: Dict[WeightVec, Dict[Exponent, int]] = {}
+        combo: dict[WeightVec, dict[Exponent, int]] = {}
         for _ in range(PEEL_BUDGET):
             if not remainder:
                 break

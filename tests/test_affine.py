@@ -1,6 +1,5 @@
 """Affine layer: Cartan data, delta, Coxeter action, tubes, arcs, nu_c."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -674,7 +673,7 @@ def test_wall_solve_matches_fraction_reference(rng):
             continue
         # the same system, every orbit vector and delta doubled
         doubled = [Tube(t.index, tuple(v.scale(2) for v in t.orbit)) for t in tubes]
-        data2 = dataclasses.replace(data, delta=data.delta.scale(2))
+        data2 = data._replace(delta=data.delta.scale(2))
         for _ in range(40):
             phi = sum((v.scale(rng.randint(0, 3)) for v in orbits), zero)
             if any(phi.coords):
