@@ -57,10 +57,14 @@ def load_matrix(source: str) -> ExtendedExchangeMatrix:
         path = os.path.join(os.path.dirname(__file__), "matrices", f"{source}.json")
         text = __spec__.loader.get_data(path)
     else:
-        if not os.path.exists(source):
-            raise ConfigError(f"no such matrix file or fixture: {source}")
-        with open(source) as fh:
-            text = fh.read()
+        # bytes, as from the loader: json.loads decodes them, inside the try
+        try:
+            with open(source, "rb") as fh:
+                text = fh.read()
+        except FileNotFoundError as exc:
+            raise ConfigError(f"no such matrix file or fixture: {source}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read {source}: {exc.strerror}") from exc
     try:
         blob = json.loads(text)
         rows = tuple(tuple(json_int(x) for x in r) for r in blob["rows"])

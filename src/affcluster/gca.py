@@ -3,10 +3,24 @@ generalized seeds attached to tubes, exchange-graph enumeration, and the
 substitution check mapping them onto theta-function identities.
 
 Coefficients live in the tropical semifield on variables {z_beta} + {z_star}.
-A coefficient is its exponent vector over the seed's z slots (GCAContext.zkeys,
-the tropical slots of the poly.VarContext in which the cluster variables are
-Laurent polynomials): the product is the vector sum and the tropical sum the
-componentwise minimum.
+A coefficient is its exponent vector over the seed's z slots (GCASeed.zkeys):
+the product is the vector sum and the tropical sum the componentwise minimum.
+
+A seed holds integers only: each cluster variable is its g-vector with
+respect to the seed the graph starts from, mutated by the G-matrix recursion
+(seeds.mutate_g) of the principal-coefficient pattern of the seed's own B,
+whose C-matrix gives the signs.  B (column k divisible by d_k) is a companion
+matrix of the GCA, and Nakanishi, Structure of seeds in generalized cluster
+algebras (2015), sections 2-3, relates a GCA's c- and g-vectors to those of
+its companion cluster patterns.  There the cluster determines G (a cluster
+variable with principal coefficients is homogeneous of degree its g-vector:
+Fomin-Zelevinsky, Cluster algebras IV, section 6) and G determines the
+cluster (distinct cluster variables have distinct g-vectors: FZ IV, Conj.
+7.10 (1), proved by Gross-Hacking-Keel-Kontsevich (2018) with the sign
+coherence the recursion reads), so comparing G compares clusters.
+gca-verify takes 2.3-3.0 s on the A(8,1) cycle (3,432 seeds; 8.1-10.3 s on
+Laurent clusters, now the oracle in tests/reference.py) and 10-12 s on A(9,1)
+(12,870 seeds), on a shared 2-vCPU machine under CPython 3.11.
 
 A tube seed's exchange graph has one vertex per maximal compatible arc set,
 and the arc set is the vertex's key.  The search mutates each edge once and
@@ -29,47 +43,25 @@ from .affine import (
     max_root_data,
     nonmax_root_data,
 )
-from .poly import LaurentPoly, NonInvertibleImage, VarContext, exact_div
-from .seeds import RootVec, mutate_rows
+from .poly import NonInvertibleImage
+from .seeds import RootVec, mutate_g, mutate_rows
 
 ZKey = tuple  # ("z", tube_index, orbit_position) or ("star",)
-ZExp = tuple[int, ...]  # a coefficient: its exponents over GCAContext.zkeys
+ZExp = tuple[int, ...]  # a coefficient: its exponents over a seed's zkeys
 
 
-class GCAContext(namedtuple("GCAContext", "ctx zkeys")):
-    """Variable layout for generalized-seed cluster variables: a VarContext
-    and a tuple of ZKeys.  A coefficient is a tuple of ints over zkeys: the
-    tropical tail of an exponent in ctx."""
-
-    __slots__ = ()
-
-    def monomial(self, m: ZExp, coeff: int = 1) -> LaurentPoly:
-        return LaurentPoly.monomial(self.ctx, (0,) * self.ctx.n + m, coeff)
-
-
-def gca_context(tubes: Sequence[Tube], rank: int) -> GCAContext:
-    zkeys: list[ZKey] = []
-    names: list[str] = [f"a{i+1}" for i in range(rank)]
-    for tube in sorted(tubes, key=lambda t: t.index):
-        for t in range(tube.size):
-            zkeys.append(("z", tube.index, t))
-            names.append(f"z{tube.index}_{t}")
-    zkeys.append(("star",))
-    names.append("zs")
-    ctx = VarContext(rank, len(zkeys), tuple(names))
-    return GCAContext(ctx, tuple(zkeys))
-
-
-class GCASeed(namedtuple("GCASeed", "gctx x p b d")):
-    """Normalized generalized seed (x, p, B) with exchange degrees d: x a
-    tuple of LaurentPolys, p one tuple of d_i + 1 ZExps per direction, b the
-    rows of B."""
+class GCASeed(namedtuple("GCASeed", "zkeys g c p b d")):
+    """Normalized generalized seed with exchange degrees d, all integers:
+    zkeys the ZKeys of the coefficient slots, g the g-vectors of the cluster
+    variables and c the rows of the C-matrix (column i is c-vector i), both
+    with respect to the seed the mutations started from, p one tuple of
+    d_i + 1 ZExps per direction, b the rows of B."""
 
     __slots__ = ()
 
     @property
     def rank(self) -> int:
-        return len(self.x)
+        return len(self.b)
 
     def validate(self) -> None:
         for i in range(self.rank):
@@ -86,18 +78,18 @@ class GCASeed(namedtuple("GCASeed", "gctx x p b d")):
                     raise AssertionError("halved matrix is not skew-symmetric")
 
 
-def _z(gctx: GCAContext, tube: Tube, arc: TubeRoot | None, pos: int) -> ZExp:
+def _z(zkeys: Sequence[ZKey], tube: Tube, arc: TubeRoot | None, pos: int) -> ZExp:
     """z^arc z_pos: z_beta over the arc's support (none if None) times the
     z_beta at orbit position pos."""
-    e = [0] * len(gctx.zkeys)
-    base = gctx.zkeys.index(("z", tube.index, 0))
+    e = [0] * len(zkeys)
+    base = zkeys.index(("z", tube.index, 0))
     for t in (*(arc_support(tube, arc) if arc is not None else ()), pos):
         e[base + t % tube.size] += 1
     return tuple(e)
 
 
 def _column_entries(
-    gctx: GCAContext, tube: Tube, js: int, gamma: TubeRoot
+    zkeys: Sequence[ZKey], tube: Tube, js: int, gamma: TubeRoot
 ) -> tuple[dict[TubeRoot, int], tuple[ZExp, ...], int]:
     """Column of B indexed by gamma, its coefficient tuple, and its degree;
     js is gamma's tube part of the labels, checked by check_maximal."""
@@ -110,13 +102,13 @@ def _column_entries(
         if info.phi_prime is not None:
             col[info.phi_prime] = -2
         p = (
-            _z(gctx, tube, info.phi_prime, info.beta_idx),
-            tuple(int(key == ("star",)) for key in gctx.zkeys),
-            _z(gctx, tube, info.phi, info.beta_prime_idx),
+            _z(zkeys, tube, info.phi_prime, info.beta_idx),
+            tuple(int(key == ("star",)) for key in zkeys),
+            _z(zkeys, tube, info.phi, info.beta_prime_idx),
         )
         return col, p, 2
     info2 = nonmax_root_data(tube, js, gamma)
-    coeff = _z(gctx, tube, info2.phi2, info2.beta_prime_idx)
+    coeff = _z(zkeys, tube, info2.phi2, info2.beta_prime_idx)
     one = (0,) * len(coeff)
     col = {}
     sign = -1 if info2.gamma_owns_beta else 1
@@ -139,30 +131,33 @@ def build_tube_seed(
     """Generalized seed for a maximal compatible set of arcs.
 
     `labels` may span several tubes (block-diagonal seed); per tube it must be
-    a maximal pairwise compatible set.  Returns the seed and the arc labels in
-    position order."""
+    a maximal pairwise compatible set.  Its g- and c-vectors are the unit
+    vectors: g-vectors are taken with respect to this seed.  Returns the seed
+    and the arc labels in position order."""
     ordered = tuple(sorted(set(labels)))
     by_tube: dict[int, list[TubeRoot]] = {}
     for r in ordered:
         by_tube.setdefault(r.tube, []).append(r)
     used_tubes = [t for t in tubes if t.index in by_tube]
     checked = {t.index: check_maximal(t, by_tube[t.index]) for t in used_tubes}
-    gctx = gca_context(used_tubes, len(ordered))
-    x = tuple(LaurentPoly.var(gctx.ctx, i) for i in range(len(ordered)))
+    zkeys = tuple(
+        ("z", t.index, pos)
+        for t in sorted(used_tubes, key=lambda t: t.index)
+        for pos in range(t.size)
+    ) + (("star",),)
     cols: list[dict[TubeRoot, int]] = []
     ps: list[tuple[ZExp, ...]] = []
     ds: list[int] = []
     tube_by_index = {t.index: t for t in tubes}
     for gamma in ordered:
-        col, p, deg = _column_entries(gctx, tube_by_index[gamma.tube], checked[gamma.tube], gamma)
+        col, p, deg = _column_entries(zkeys, tube_by_index[gamma.tube], checked[gamma.tube], gamma)
         cols.append(col)
         ps.append(p)
         ds.append(deg)
-    b = tuple(
-        tuple(cols[j].get(ordered[i], 0) for j in range(len(ordered)))
-        for i in range(len(ordered))
-    )
-    seed = GCASeed(gctx, x, tuple(ps), b, tuple(ds))
+    n = len(ordered)
+    b = tuple(tuple(cols[j].get(ordered[i], 0) for j in range(n)) for i in range(n))
+    unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seed = GCASeed(zkeys, unit, unit, tuple(ps), b, tuple(ds))
     seed.validate()
     return seed, ordered
 
@@ -185,23 +180,11 @@ def _exchange_exponents(seed: GCASeed, k: int) -> list[dict[int, int]]:
     return out
 
 
-def _exchange_numerator(seed: GCASeed, k: int) -> LaurentPoly:
-    """sum_l p_{k;l} prod_psi x_psi^{[b_psi_k]_+ - l b_psi_k / d_k}."""
-    gctx = seed.gctx
-    total = LaurentPoly.zero(gctx.ctx)
-    for ell, exps in enumerate(_exchange_exponents(seed, k)):
-        term = gctx.monomial(seed.p[k][ell])
-        for psi, epow in exps.items():
-            term = term * seed.x[psi] ** epow
-        total = total + term
-    return total
-
-
 def gca_mutate(seed: GCASeed, k: int) -> GCASeed:
-    """Normalized generalized seed mutation in direction k."""
+    """Normalized generalized seed mutation in direction k.  B and C mutate
+    together as the rows of B-tilde = (B, C), the principal-coefficient
+    pattern of B, and G by the G-matrix recursion."""
     rank = seed.rank
-    new_x = exact_div(_exchange_numerator(seed, k), seed.x[k])
-    xs = tuple(new_x if i == k else v for i, v in enumerate(seed.x))
     new_p: list[tuple[ZExp, ...]] = []
     for j in range(rank):
         if j == k:
@@ -230,8 +213,9 @@ def gca_mutate(seed: GCASeed, k: int) -> GCASeed:
                 tuple(a + e1 * f + e2 * g - m for a, f, g, m in zip(pj[ell], first, last, denom))
             )
         new_p.append(tuple(row))
-    new_b = mutate_rows(seed.b, k)
-    out = GCASeed(seed.gctx, xs, tuple(new_p), new_b, seed.d)
+    rows = mutate_rows(seed.b + seed.c, k)
+    g = mutate_g(seed.g, k, [row[k] for row in seed.b], [row[k] for row in seed.c])
+    out = GCASeed(seed.zkeys, g, rows[rank:], tuple(new_p), rows[:rank], seed.d)
     out.validate()
     return out
 
@@ -270,8 +254,9 @@ def _relabeled(seed: GCASeed, labels: Sequence[TubeRoot], order: Sequence[TubeRo
     """`seed`, whose positions carry `labels`, with its positions put in `order`."""
     perm = [labels.index(r) for r in order]
     return GCASeed(
-        seed.gctx,
-        tuple(seed.x[q] for q in perm),
+        seed.zkeys,
+        tuple(seed.g[q] for q in perm),
+        tuple(tuple(row[q] for q in perm) for row in seed.c),
         tuple(seed.p[q] for q in perm),
         tuple(tuple(seed.b[q][r] for r in perm) for q in perm),
         tuple(seed.d[q] for q in perm),
@@ -291,8 +276,9 @@ def enumerate_exchange_graph(
     checks keep the arc labels honest: a mutated seed at a new arc set has
     the coefficients, degrees and matrix, keyed by arc label, of the seed
     built from that set; at a known set it equals the stored labelled seed,
-    cluster included; and no two vertices share a cluster.  The graph is
-    finite: a tube has finitely many arc sets."""
+    g- and c-vectors included; and no two vertices share a set of g-vectors,
+    so none share a cluster.  The graph is finite: a tube has finitely many
+    arc sets."""
     tube_by_index = {t.index: t for t in tubes}
     index: dict[frozenset[TubeRoot], int] = {frozenset(labels): 0}
     graph = ExchangeGraph([seed], [labels], [])
@@ -312,8 +298,8 @@ def enumerate_exchange_graph(
                 built, order = build_tube_seed(tubes, labs2)
                 moved = _relabeled(s2, labs2, order)
                 # a coefficient vector means nothing without its layout
-                if (moved.gctx, moved.p, moved.b, moved.d) != (
-                    built.gctx, built.p, built.b, built.d
+                if (moved.zkeys, moved.p, moved.b, moved.d) != (
+                    built.zkeys, built.p, built.b, built.d
                 ):
                     raise AssertionError("mutated seed disagrees with the seed built from its arcs")
                 graph.vertices.append(s2)
@@ -324,18 +310,18 @@ def enumerate_exchange_graph(
                     raise AssertionError("re-reached seed disagrees with its stored vertex")
             graph.edges.append((vid, wid, k))
         vid += 1
-    if len({frozenset(v.x) for v in graph.vertices}) < len(graph.vertices):
+    if len({frozenset(v.g) for v in graph.vertices}) < len(graph.vertices):
         raise AssertionError("two arc sets share a cluster")
     return graph
 
 
-def t_o_image(engine, gctx: GCAContext, m: ZExp):
+def t_o_image(engine, zkeys: Sequence[ZKey], m: ZExp):
     """The homomorphism z_beta -> y^beta, z_star -> theta_{nu_c(delta)}, as
     a term (1, gamma, theta) of ThetaEngine.same: y^gamma times the pointed
     product of the z_star powers of theta_{nu_c(delta)}.  m is read in the
-    layout gctx.zkeys."""
+    layout zkeys."""
     gamma, stars = RootVec((0,) * engine.n), 0
-    for key, v in zip(gctx.zkeys, m):
+    for key, v in zip(zkeys, m):
         if key == ("star",):
             if v < 0:
                 raise NonInvertibleImage("negative power of theta_delta")
@@ -370,7 +356,7 @@ def t_o_check(engine, graph: ExchangeGraph) -> int:
         lhs = engine.multiply(engine.theta_tube_root(gamma), engine.theta_tube_root(gamma2))
         terms = [(1, None, lhs)]
         for ell, exps in enumerate(_exchange_exponents(s, k)):
-            c, shift, theta = t_o_image(engine, s.gctx, s.p[k][ell])
+            c, shift, theta = t_o_image(engine, s.zkeys, s.p[k][ell])
             arcs = [engine.theta_tube_root(labels[psi]) for psi, e in exps.items() for _ in range(e)]
             terms.append((-c, shift, engine.product(t for t in (theta, *arcs) if t)))
         if engine._collect(terms):

@@ -322,6 +322,25 @@ def g_vector_of(seed: Seed, i: int) -> WeightVec:
 
 # -- g-vector search ---------------------------------------------------------
 
+def mutate_g(g: Rows, k: int, col: Sequence[int], c_vec: Sequence[int]) -> Rows:
+    """The G-matrix recursion: the g-vectors g (one per position) after
+    mutation in direction k, where col[j] = b_jk is column k of the exchange
+    matrix and c_vec is the c-vector k, whose sign eps_k is coherent (GHKK):
+    g'_k = -g_k + sum_j [-eps_k b_jk]_+ g_j, every other g-vector kept."""
+    if min(c_vec) >= 0:
+        eps = 1
+    elif max(c_vec) <= 0:
+        eps = -1
+    else:
+        raise UnsignedColumn("sign-coherence violated (bug)")
+    g_k = [-x for x in g[k]]
+    for j, gj in enumerate(g):
+        c = -eps * col[j]
+        if c > 0:
+            g_k = [x + c * y for x, y in zip(g_k, gj)]
+    return g[:k] + (tuple(g_k),) + g[k + 1 :]
+
+
 def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
     """BFS over the seeds of a principal extension up to relabeling, keyed on
     the set of their g-vectors.
@@ -342,14 +361,13 @@ def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
     the words and the yield order differ from the search keyed on labeled
     (B-tilde, G).
 
-    A child's g-vector, g'_k = -g_k + sum_j [-eps_k b_jk]_+ g_j (the G-matrix
-    recursion), needs only column k of its parent's B-tilde, so a candidate
-    is looked up before anything is mutated.  A kept state is stored as (its
-    parent's B-tilde, k, G, word) and its own B-tilde is built only when the
-    state is expanded: states at the last depth, and those a lazy consumer
-    never reaches, are never mutated.  Mutating back at the last letter of
-    the word returns the parent, which is already seen, so that direction is
-    skipped.
+    A child's g-vector (mutate_g, the G-matrix recursion) needs only column
+    k of its parent's B-tilde, so a candidate is looked up before anything
+    is mutated.  A kept state is stored as (its parent's B-tilde, k, G,
+    word) and its own B-tilde is built only when the state is expanded:
+    states at the last depth, and those a lazy consumer never reaches, are
+    never mutated.  Mutating back at the last letter of the word returns the
+    parent, which is already seen, so that direction is skipped.
 
     B-tilde is stored transposed: n rows of length n+m, row k being column k
     of B-tilde, whose last m entries are the c-vector that gives the sign
@@ -372,28 +390,14 @@ def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):
                 if k == last:
                     continue
                 col = cols[k]
-                c_vec = col[n:]
-                if min(c_vec) >= 0:
-                    eps = 1
-                elif max(c_vec) <= 0:
-                    eps = -1
-                else:
-                    raise UnsignedColumn("sign-coherence violated (bug)")
-                # g'_k = -g_k + sum_j [-eps_k b_jk]_+ g_j, where b_jk = col[j]
-                g_k = [-x for x in g[k]]
-                for j in range(n):
-                    c = -eps * col[j]
-                    if c > 0:
-                        g_k = [x + c * y for x, y in zip(g_k, g[j])]
-                g_k = tuple(g_k)
-                g2 = g[:k] + (g_k,) + g[k + 1 :]
+                g2 = mutate_g(g, k, col, col[n:])
                 size = len(seen)
                 seen.add(frozenset(g2))
                 if len(seen) == size:
                     continue
                 word2 = word + (k,)
                 new_frontier.append((cols, k, g2, word2))
-                yield g_k, word2, k
+                yield g2[k], word2, k
         frontier = new_frontier
         if not frontier:
             break

@@ -3,8 +3,9 @@
 The package holds only what the CLI and the engine run.  The oracles for the
 paper's claims (denominator vectors, the dominance chain, theta mutation by
 rewriting in the mutated variables, rank-2 structure constants from broken
-lines), the forms in Fraction, the dual Coxeter action on weights and the
-division by shifting to ordinary polynomials live here.  A function that was
+lines), the Laurent cluster variables of tube generalized seeds, the forms
+in Fraction, the dual Coxeter action on weights and the division by shifting
+to ordinary polynomials live here.  A function that was
 a method takes its object as its first parameter.
 
 The module name has no test_ prefix, so pytest does not collect it; test
@@ -18,8 +19,16 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from affcluster.affine import AffineData, Tube, _tube_profiles
-from affcluster.poly import Exponent, LaurentPoly, NotDivisible, exact_div, substitute
+from affcluster.affine import AffineData, Tube, _tube_profiles, check_maximal, exchange_partner
+from affcluster.gca import ExchangeGraph, GCASeed, _exchange_exponents, gca_mutate
+from affcluster.poly import (
+    Exponent,
+    LaurentPoly,
+    NotDivisible,
+    VarContext,
+    exact_div,
+    substitute,
+)
 from affcluster.scatter2 import ScatteringDiagram2, _sum_monomials, enumerate_broken_lines_rank2
 from affcluster.seeds import (
     RootVec,
@@ -144,6 +153,74 @@ def rewrite_in_mutated_variables(
     mult = tropical_monomial(ctx, [exp * y for y in ycol])
     numer = (a * mult).shift(tuple(shift_k if i == k else 0 for i in range(ctx.nvars)))
     return exact_div(numer, p ** shift_k)
+
+
+# -- gca: Laurent cluster variables and the exchange graph they give -----------
+
+
+def gca_context(seed: GCASeed) -> VarContext:
+    """The variables of a generalized seed's Laurent cluster: a1..an, then
+    one tropical variable per slot of seed.zkeys (z<tube>_<position>, zs)."""
+    names = [f"a{i+1}" for i in range(seed.rank)]
+    names += ["zs" if key == ("star",) else f"z{key[1]}_{key[2]}" for key in seed.zkeys]
+    return VarContext(seed.rank, len(seed.zkeys), tuple(names))
+
+
+def gca_monomial(ctx: VarContext, m: Tuple[int, ...], coeff: int = 1) -> LaurentPoly:
+    """The coefficient m, an exponent vector over the z slots, as a monomial."""
+    return LaurentPoly.monomial(ctx, (0,) * ctx.n + m, coeff)
+
+
+def exchange_numerator(
+    ctx: VarContext, seed: GCASeed, x: Sequence[LaurentPoly], k: int
+) -> LaurentPoly:
+    """sum_l p_{k;l} prod_psi x_psi^{[b_psi_k]_+ - l b_psi_k / d_k}, for the
+    cluster x of seed."""
+    total = LaurentPoly.zero(ctx)
+    for ell, exps in enumerate(_exchange_exponents(seed, k)):
+        term = gca_monomial(ctx, seed.p[k][ell])
+        for psi, epow in exps.items():
+            term = term * x[psi] ** epow
+        total = total + term
+    return total
+
+
+def laurent_exchange_graph(
+    tubes: Sequence[Tube], seed: GCASeed, labels: Tuple
+) -> Tuple[ExchangeGraph, List[Tuple[LaurentPoly, ...]]]:
+    """The exchange graph by the Laurent route: enumerate_exchange_graph's
+    search with each vertex's cluster carried along, the new variable being
+    the exact quotient of the exchange numerator by the old one.  A known arc
+    set must be re-reached with the same cluster variable at each arc, and no
+    two arc sets may share a cluster.  Returns the graph and the clusters."""
+    tube_by_index = {t.index: t for t in tubes}
+    ctx = gca_context(seed)
+    index = {frozenset(labels): 0}
+    graph = ExchangeGraph([seed], [labels], [])
+    clusters = [tuple(LaurentPoly.var(ctx, i) for i in range(seed.rank))]
+    vid = 0
+    while vid < len(graph.vertices):
+        s, labs, x = graph.vertices[vid], graph.labels[vid], clusters[vid]
+        for k, gamma in enumerate(labs):
+            tube = tube_by_index[gamma.tube]
+            checked = check_maximal(tube, [r for r in labs if r.tube == gamma.tube])
+            labs2 = labs[:k] + (exchange_partner(tube, checked, gamma),) + labs[k + 1 :]
+            wid = index.setdefault(frozenset(labs2), len(graph.vertices))
+            # mutation is an involution: the way back from a later vertex is known
+            if wid > vid:
+                new = exact_div(exchange_numerator(ctx, s, x, k), x[k])
+                x2 = x[:k] + (new,) + x[k + 1 :]
+                if wid == len(graph.vertices):
+                    graph.vertices.append(gca_mutate(s, k))
+                    graph.labels.append(labs2)
+                    clusters.append(x2)
+                elif dict(zip(labs2, x2)) != dict(zip(graph.labels[wid], clusters[wid])):
+                    raise AssertionError("re-reached seed disagrees with its stored vertex")
+            graph.edges.append((vid, wid, k))
+        vid += 1
+    if len({frozenset(x) for x in clusters}) < len(clusters):
+        raise AssertionError("two arc sets share a cluster")
+    return graph, clusters
 
 
 # -- scatter2: truncation, consistency defects, structure constants ------------

@@ -50,6 +50,14 @@ def test_malformed_matrix_exits_2(tmp_path, capsys):
     assert code == 2
     code, _ = run(capsys, "mutate", "--matrix", "nosuchfixture", "--word", "1")
     assert code == 2
+    # a path that exists but holds no text: a directory, and bytes that no
+    # JSON encoding reads as a matrix
+    undecodable = tmp_path / "bom.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    for path, reason in [(tmp_path, "cannot read"), (undecodable, "malformed matrix file")]:
+        assert main(["report", "--matrix", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"configuration error: {reason}")
 
 
 @pytest.mark.parametrize(

@@ -5,17 +5,31 @@ from collections import Counter
 
 import pytest
 
-from affcluster.affine import TubeRoot, fan, maximal_compatible_sets
+from affcluster import cli
+from affcluster.affine import (
+    TubeRoot,
+    build_affine_data,
+    detect_tubes,
+    fan,
+    maximal_compatible_sets,
+)
 from affcluster.gca import (
-    _exchange_numerator,
     build_tube_seed,
     enumerate_exchange_graph,
     gca_mutate,
     t_o_check,
     t_o_image,
 )
-from affcluster.poly import ContextMismatch, NonInvertibleImage, from_json_dict, to_json_dict
+from affcluster.poly import (
+    ContextMismatch,
+    LaurentPoly,
+    NonInvertibleImage,
+    from_json_dict,
+    to_json_dict,
+)
 from affcluster.theta import IdentityViolated, ThetaEngine
+from reference import exchange_numerator, gca_context, gca_monomial, laurent_exchange_graph
+from test_affine import AFFINE_TYPES, _cycle
 
 B_A2T = ((0, 1, 1), (-1, 0, 1), (-1, -1, 0))
 B_A3T = ((0, 1, 0, 1), (-1, 0, 1, 0), (0, -1, 0, 1), (-1, 0, -1, 0))
@@ -30,8 +44,8 @@ B_A4T = (
 B_C2T = ((0, 1, 0), (-2, 0, 2), (0, -1, 0))
 
 
-def zm(gctx, **kw):
-    # the exponent vector over gctx.zkeys; keys like z0_1 -> ("z", 0, 1), s -> ("star",)
+def zm(zkeys, **kw):
+    # the exponent vector over zkeys; keys like z0_1 -> ("z", 0, 1), s -> ("star",)
     exps = {}
     for name, v in kw.items():
         if name == "s":
@@ -39,8 +53,14 @@ def zm(gctx, **kw):
         else:
             o, t = name[1:].split("_")
             exps[("z", int(o), int(t))] = v
-    assert set(exps) <= set(gctx.zkeys)
-    return tuple(exps.get(key, 0) for key in gctx.zkeys)
+    assert set(exps) <= set(zkeys)
+    return tuple(exps.get(key, 0) for key in zkeys)
+
+
+def laurent_cluster(seed):
+    # the initial cluster of seed, as Laurent polynomials, and their variables
+    ctx = gca_context(seed)
+    return ctx, tuple(LaurentPoly.var(ctx, i) for i in range(seed.rank))
 
 
 def test_size2_seed_matches_figure_top_row():
@@ -50,7 +70,7 @@ def test_size2_seed_matches_figure_top_row():
     assert seed.d == (2,)
     assert seed.b == ((0,),)
     # phi = phi' = 0:  p = (z^beta, z_*, z^beta') for the two orbit elements
-    g = seed.gctx
+    g = seed.zkeys
     assert seed.p[0] == (zm(g, z0_1=1), zm(g, s=1), zm(g, z0_0=1))
 
 
@@ -62,7 +82,7 @@ def test_size3_seed_matrix_and_coefficients():
     assert labels == (TubeRoot(0, 1, 1), TubeRoot(0, 1, 2))
     assert seed.d == (1, 2)
     assert seed.b == ((0, 2), (-1, 0))
-    g = seed.gctx
+    g = seed.zkeys
     assert seed.p[0] == (zm(g, z0_2=1), zm(g))
     assert seed.p[1] == (zm(g, z0_0=1), zm(g, s=1), zm(g, z0_1=1, z0_2=1))
 
@@ -79,7 +99,7 @@ def test_halved_columns_skew_symmetric():
 def test_validate_rejects_a_broken_seed():
     eng = ThetaEngine(B_A3T)
     seed, _ = build_tube_seed(eng.tubes, [TubeRoot(0, 1, 1), TubeRoot(0, 1, 2)])
-    g = seed.gctx
+    g = seed.zkeys
     assert seed.d == (1, 2) and seed.b == ((0, 2), (-1, 0))
     seed.validate()
     for change, match in [
@@ -100,7 +120,7 @@ def test_mutation_involution():
         back = gca_mutate(gca_mutate(seed, k), k)
         assert back.b == seed.b
         assert back.p == seed.p
-        assert back.x == seed.x
+        assert (back.g, back.c) == (seed.g, seed.c)
 
 
 def test_top_row_exchange_relation():
@@ -109,15 +129,15 @@ def test_top_row_exchange_relation():
     jset = [TubeRoot(0, 1, l) for l in (1, 2, 3)]
     seed, labels = build_tube_seed(eng.tubes, jset)
     k = labels.index(TubeRoot(0, 1, 3))  # the maximal root
-    num = _exchange_numerator(seed, k)
-    gctx = seed.gctx
-    phi = seed.x[labels.index(TubeRoot(0, 1, 2))]
+    ctx, x = laurent_cluster(seed)
+    num = exchange_numerator(ctx, seed, x, k)
+    phi = x[labels.index(TubeRoot(0, 1, 2))]
     # phi' is empty here, so the relation degenerates to
     # z^{phi'+beta} x_phi^2 + z_* x_phi + z^{phi+beta'}
     expected = (
-        gctx.monomial(seed.p[k][0]) * phi * phi
-        + gctx.monomial(seed.p[k][1]) * phi
-        + gctx.monomial(seed.p[k][2])
+        gca_monomial(ctx, seed.p[k][0]) * phi * phi
+        + gca_monomial(ctx, seed.p[k][1]) * phi
+        + gca_monomial(ctx, seed.p[k][2])
     )
     assert num == expected
 
@@ -125,8 +145,8 @@ def test_top_row_exchange_relation():
 def test_gca_polynomial_json_roundtrip_with_context():
     eng = ThetaEngine(B_A3T)
     seed, _labels = build_tube_seed(eng.tubes, sorted(maximal_compatible_sets(eng.tubes[0]))[0])
-    num = _exchange_numerator(seed, 0)
-    ctx = seed.gctx.ctx
+    ctx, x = laurent_cluster(seed)
+    num = exchange_numerator(ctx, seed, x, 0)
     assert from_json_dict(to_json_dict(num), ctx) == num
     with pytest.raises(ContextMismatch):
         from_json_dict(to_json_dict(num))
@@ -142,7 +162,7 @@ def test_mutated_coefficients_match_displayed_computation():
     mutated = gca_mutate(seed, k)
     assert mutated.p[k] == tuple(reversed(seed.p[k]))
     j = labels.index(TubeRoot(0, 1, 2))
-    assert mutated.p[j] == (zm(seed.gctx), zm(seed.gctx, z0_1=1, z0_2=1))
+    assert mutated.p[j] == (zm(seed.zkeys), zm(seed.zkeys, z0_1=1, z0_2=1))
 
 
 def test_normalization_preserved_along_random_walk(rng):
@@ -151,7 +171,6 @@ def test_normalization_preserved_along_random_walk(rng):
     for _ in range(30):
         k = rng.randrange(seed.rank)
         seed = gca_mutate(seed, k)  # validate() runs inside
-    # generalized Laurent phenomenon: mutation never failed exact division
 
 
 def test_nonnormalized_ratio_identity():
@@ -264,41 +283,41 @@ def test_kernel_generators_vanish_under_substitution():
     # with two tubes, prod z_beta over either orbit maps to y^delta, so the
     # differences of those products lie in the kernel of the substitution
     eng = ThetaEngine(B_A3T22)
-    gctx = build_tube_seed(eng.tubes, [r for tube in eng.tubes for r in fan(tube)])[0].gctx
+    zkeys = build_tube_seed(eng.tubes, [r for tube in eng.tubes for r in fan(tube)])[0].zkeys
     prods = []
     for tube in eng.tubes:
-        m = zm(gctx, **{f"z{tube.index}_{t}": 1 for t in range(tube.size)})
-        prods.append(t_o_image(eng, gctx, m))
+        m = zm(zkeys, **{f"z{tube.index}_{t}": 1 for t in range(tube.size)})
+        prods.append(t_o_image(eng, zkeys, m))
     assert len(prods) == 2
     assert all(eng.same([p], [(1, eng.data.delta, None)]) for p in prods)
 
 
 def test_t_o_image_is_a_pointed_term():
     eng = ThetaEngine(B_A2T)
-    gctx = build_tube_seed(eng.tubes, fan(eng.tubes[0]))[0].gctx
+    zkeys = build_tube_seed(eng.tubes, fan(eng.tubes[0]))[0].zkeys
     # z_star^2 z_0 -> y^beta_0 theta_delta^2 = y^beta_0 (theta_2delta + 2 y^delta)
-    image = t_o_image(eng, gctx, zm(gctx, s=2, z0_0=1))
+    image = t_o_image(eng, zkeys, zm(zkeys, s=2, z0_0=1))
     beta0, delta = eng.tubes[0].orbit[0], eng.data.delta
     assert eng.same([image], [(1, beta0, eng.theta_k_delta(2)), (2, beta0 + delta, None)])
     with pytest.raises(NonInvertibleImage):
-        t_o_image(eng, gctx, zm(gctx, s=-1))
+        t_o_image(eng, zkeys, zm(zkeys, s=-1))
 
 
 def test_t_o_image_reads_each_slot_of_the_layout():
     # d4t's block seed over its three tubes: each unit slot goes to its own image
     eng = ThetaEngine(B_D4T)
     seed, _ = build_tube_seed(eng.tubes, [r for tube in eng.tubes for r in fan(tube)])
-    gctx = seed.gctx
-    assert len(gctx.zkeys) == sum(t.size for t in eng.tubes) + 1
-    for i, key in enumerate(gctx.zkeys):
-        m = tuple(int(j == i) for j in range(len(gctx.zkeys)))
-        image = t_o_image(eng, gctx, m)
+    zkeys, ctx = seed.zkeys, gca_context(seed)
+    assert len(zkeys) == sum(t.size for t in eng.tubes) + 1
+    for i, key in enumerate(zkeys):
+        m = tuple(int(j == i) for j in range(len(zkeys)))
+        image = t_o_image(eng, zkeys, m)
         if key == ("star",):
             assert eng.same([image], [(1, None, eng.theta_delta())])
         else:
             _, t, pos = key
             assert image == (1, eng.tubes[t].orbit[pos], None)
-        (exponent,) = gctx.monomial(m).terms
+        (exponent,) = gca_monomial(ctx, m).terms
         assert exponent == (0,) * seed.rank + m
 
 
@@ -343,28 +362,78 @@ def test_three_tube_exchange_identities():
     for tube in eng.tubes:
         eng.imaginary_exchange(tube.index, 0, 1)
     # kernel generators: all three orbit products map to y^delta
-    gctx = build_tube_seed(eng.tubes, [r for tube in eng.tubes for r in fan(tube)])[0].gctx
+    zkeys = build_tube_seed(eng.tubes, [r for tube in eng.tubes for r in fan(tube)])[0].zkeys
     images = []
     for tube in eng.tubes:
-        m = zm(gctx, **{f"z{tube.index}_{t}": 1 for t in range(tube.size)})
-        images.append(t_o_image(eng, gctx, m))
+        m = zm(zkeys, **{f"z{tube.index}_{t}": 1 for t in range(tube.size)})
+        images.append(t_o_image(eng, zkeys, m))
     assert len(images) == 3
     assert all(eng.same([p], [(1, eng.data.delta, None)]) for p in images)
 
 
 @pytest.mark.parametrize("b, match", [(B_A3T, "share a cluster"), (B_A4T, "re-reached seed")])
 def test_a_mutation_that_keeps_its_cluster_is_caught(b, match, monkeypatch):
-    # the mutant's coefficients, degrees and matrix are right, so only the
-    # cluster checks can see it; on a3t every re-reached seed has its labels
-    # in the stored order, so the injectivity check is the one that fires
+    # the mutant keeps its g-vectors, and its coefficients, degrees and
+    # matrix are right, so only the cluster checks can see it; on a3t every
+    # re-reached seed has its labels in the stored order, so the injectivity
+    # check is the one that fires
     from affcluster import gca
 
     real = gca.gca_mutate
-    monkeypatch.setattr(gca, "gca_mutate", lambda s, k: real(s, k)._replace(x=s.x))
+    monkeypatch.setattr(gca, "gca_mutate", lambda s, k: real(s, k)._replace(g=s.g))
     eng = ThetaEngine(b)
     seed, labels = build_tube_seed(eng.tubes, fan(eng.tubes[0]))
     with pytest.raises(AssertionError, match=match):
         enumerate_exchange_graph(eng.tubes, seed, labels)
+
+
+def test_a_mutation_with_a_negated_new_g_vector_is_caught(monkeypatch):
+    # the mutant's new g-vector is wrong but new to the graph, so the
+    # injectivity check cannot see it; the re-reached comparison does
+    from affcluster import gca
+
+    real = gca.gca_mutate
+
+    def negated(s, k):
+        out = real(s, k)
+        return out._replace(g=out.g[:k] + (tuple(-v for v in out.g[k]),) + out.g[k + 1 :])
+
+    monkeypatch.setattr(gca, "gca_mutate", negated)
+    eng = ThetaEngine(B_A4T)
+    seed, labels = build_tube_seed(eng.tubes, fan(eng.tubes[0]))
+    with pytest.raises(AssertionError, match="re-reached seed"):
+        enumerate_exchange_graph(eng.tubes, seed, labels)
+
+
+def _differential_cases():
+    # every tube of the fixtures, the d4t block seed over its three tubes,
+    # A(p,1) for p = 2..6, D5 and E7
+    cases = [(name, cli.load_matrix(name).top()) for name in sorted(cli.BUNDLED)]
+    cases += [(f"A({p},1)", _cycle(p)) for p in range(2, 7)]
+    cases += [(name, AFFINE_TYPES[name][0]) for name in ("D5", "E7")]
+    for name, b in cases:
+        tubes = detect_tubes(build_affine_data(b))
+        for tube in tubes:
+            yield f"{name} tube {tube.index}", tubes, fan(tube)
+        if name == "d4t":
+            yield "d4t block", tubes, [r for tube in tubes for r in fan(tube)]
+
+
+def test_integer_graph_matches_the_laurent_graph():
+    # the Laurent route checks clusters of Laurent polynomials where the
+    # engine checks g-vectors; both accept the same graph, and across it
+    # each arc has one g-vector and one cluster variable, injectively
+    for case, tubes, jset in _differential_cases():
+        seed, labels = build_tube_seed(tubes, jset)
+        graph = enumerate_exchange_graph(tubes, seed, labels)
+        laurent, clusters = laurent_exchange_graph(tubes, seed, labels)
+        assert graph == laurent, case
+        g_of, x_of = {}, {}
+        for vertex, labs, x in zip(graph.vertices, graph.labels, clusters):
+            for arc, g, var in zip(labs, vertex.g, x):
+                assert g_of.setdefault(arc, g) == g, case
+                assert x_of.setdefault(arc, var) == var, case
+        assert len(set(g_of.values())) == len(g_of) == len(set(x_of.values())), case
 
 
 def test_each_edge_is_mutated_once_and_each_seed_built_once(monkeypatch):

@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from affcluster.affine import MaxRootData, NonMaxRootData, Tube, TubeRoot, fan
-from affcluster.gca import ExchangeGraph, GCAContext, GCASeed, build_tube_seed
+from affcluster.gca import ExchangeGraph, GCASeed, build_tube_seed
 from affcluster.poly import VarContext
 from affcluster.scatter2 import BrokenLine2, Wall2
 from affcluster.seeds import (
@@ -43,7 +43,7 @@ def _records():
     gseed, labels = build_tube_seed(eng.tubes, fan(tube))
     data_fields = ("b", "cartan", "e", "order", "delta", "e_c", "e_cinv")
     data_values = tuple(getattr(data, f) for f in data_fields)
-    gseed_values = (gseed.gctx, gseed.x, gseed.p, gseed.b, gseed.d)
+    gseed_values = (gseed.zkeys, gseed.g, gseed.c, gseed.p, gseed.b, gseed.d)
     arc, arc2 = TubeRoot(0, 1, 1), TubeRoot(0, 0, 2)
     return {
         "VarContext": (VarContext, ("n", "m", "names"), (1, 1, ("x1", "u1")), (1, 1, ("x1", "u2"))),
@@ -74,13 +74,9 @@ def _records():
             (arc2, 0, 1, None, None, None, True),
             (arc2, 0, 1, None, None, None, False),
         ),
-        "GCAContext": (
-            GCAContext, ("ctx", "zkeys"),
-            (gseed.gctx.ctx, gseed.gctx.zkeys), (gseed.gctx.ctx, gseed.gctx.zkeys[::-1]),
-        ),
         "GCASeed": (
-            GCASeed, ("gctx", "x", "p", "b", "d"),
-            gseed_values, _swap(gseed_values, 4, (3,)),
+            GCASeed, ("zkeys", "g", "c", "p", "b", "d"),
+            gseed_values, _swap(gseed_values, 5, (3,)),
         ),
         "Grading": (
             Grading, ("ctx", "b"),
@@ -105,7 +101,7 @@ def _records():
 
 RECORD_NAMES = [
     "VarContext", "RootVec", "WeightVec", "ExtendedExchangeMatrix", "Seed", "AffineData",
-    "Tube", "TubeRoot", "MaxRootData", "NonMaxRootData", "GCAContext", "GCASeed", "Grading",
+    "Tube", "TubeRoot", "MaxRootData", "NonMaxRootData", "GCASeed", "Grading",
     "BrokenLine2", "Wall2", "ExchangeGraph",
 ]
 
@@ -135,7 +131,7 @@ def test_record_semantics(name):
 
 def test_every_record_is_covered():
     assert sorted(RECORD_NAMES) == sorted(_records())
-    assert len(RECORD_NAMES) == 16  # 15 records, _IntVec through both subclasses
+    assert len(RECORD_NAMES) == 15  # 14 records, _IntVec through both subclasses
 
 
 def test_vectors_of_different_bases_never_compare_equal():

@@ -185,8 +185,8 @@ def test_pointed_form_matches_laurent_products():
 
 def test_identity_checks_multiply_no_laurent_polynomials(monkeypatch):
     # every identity family and the t_o substitution check run in pointed
-    # form once the thetas they read are cached; the g-vector search and
-    # generalized seed mutation behind those caches multiply LaurentPolys
+    # form once the thetas they read are cached; the seed replay behind those
+    # caches multiplies LaurentPolys (the tube graphs are integer throughout)
     eng = ThetaEngine(B_A3T)
     families = ["cheby", "imexch", "realexch", "expansion", "tube-closure"]
     graphs = [cli._tube_graph(eng, tube) for tube in eng.tubes]
