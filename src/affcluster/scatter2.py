@@ -1,19 +1,28 @@
-"""Rank-2 cluster scattering diagrams by order-by-order consistency, and
-broken-line enumeration as an independent oracle for theta functions.
+"""Rank-2 cluster scattering diagrams by one slope-ordered factorization,
+and broken-line enumeration as an independent oracle for theta functions.
 
 Everything is exact.  A wall with primitive normal n = (n1, n2) carries its
 function as the coefficient list c[0..K] of a power series in t = yhat^n,
 with c[0] = 1 and K = order // (n1 + n2), the largest power of t within
-tropical degree `order`.  Its powers f^a, a of either sign, are built one
-factor at a time from truncated list products and cached on the wall; f^-1
-comes from the recursion inv[k] = -sum_{j=1..k} c[j] inv[k-j].
+tropical degree `order`.  Its power f^a, for any integer a, comes in one
+pass from the recurrence k h[k] = sum_{j=1..k} (a j - (k - j)) c[j] h[k-j]
+for h = f^a, and the same recurrence solved for c gives the exact a-th
+root of a series.
+
+A rank-2 diagram is consistent when its loop product is the identity, so
+the outgoing walls are the Kontsevich-Soibelman factorization of the two
+initial wall-crossings into a slope-ordered product (Gross-Pandharipande-
+Siebert, Quivers, curves, and the tropical vertex, 2010; GHKK, JAMS 2018,
+section 1.2).  Completion applies the inverse initial crossings to x^{e_1}
+once and reads each outgoing wall off the result as a root, peeling the
+walls in slope order (ScatteringDiagram2._complete).
 
 Every monomial of a loop product that starts at x^{e_gen} is
 x^{e_gen + B m} u^m, so wall crossing works on pointed term maps m -> c and
 stops each inner loop at tropical degree `order` instead of truncating a
 full product.  A LaurentPoly is built only at the output edge: Wall2.series
 and the broken-line sums.  The scattering term on the imaginary wall is
-never assumed; it is produced by consistency completion.
+never assumed; it is produced by the factorization.
 """
 
 from __future__ import annotations
@@ -45,10 +54,18 @@ def _cross(a: Sequence, b: Sequence):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _mul_truncated(p: list[int], q: list[int]) -> list[int]:
-    """The product of two power series in t, both with len(p) coefficients,
-    truncated to that length."""
-    return [sum(p[j] * q[k - j] for j in range(k + 1)) for k in range(len(p))]
+def _root(h: list[int], a: int) -> list[int]:
+    """The series f with f^a = h (a != 0, h[0] = 1), to the length of h:
+    the power recurrence of ScatteringDiagram2._power solved for f[k], whose
+    term there is a k f[k].  Raises InconsistentDiagram unless f is
+    integral."""
+    f = [1] + [0] * (len(h) - 1)
+    for k in range(1, len(h)):
+        rest = k * h[k] - sum((a * j - (k - j)) * f[j] * h[k - j] for j in range(1, k))
+        f[k], remainder = divmod(rest, a * k)
+        if remainder:
+            raise InconsistentDiagram("non-integer wall correction")
+    return f
 
 
 _CTX: VarContext = default_context(2, 2)
@@ -62,11 +79,13 @@ class Wall2:
 
     An initial wall keeps its binomial 1 + t untruncated, so at order 0
     `series` (and `scatter2 --order 0`) still reads 1 + yhat^normal, while
-    every power of it is truncated to degree 0.
+    every power of it is truncated to degree 0.  An outgoing wall's list is
+    the exact root that completion reads off the factorization, with
+    order // (n1 + n2) + 1 entries.
 
-    Mutable and unhashable; `powers` is a cache, left out of == and repr."""
+    Mutable and unhashable."""
 
-    __slots__ = ("normal", "direction", "is_line", "coroot", "yhat", "coeffs", "powers")
+    __slots__ = ("normal", "direction", "is_line", "coroot", "yhat", "coeffs")
 
     def __init__(
         self,
@@ -83,8 +102,6 @@ class Wall2:
         self.coroot = coroot
         self.yhat = yhat
         self.coeffs = coeffs
-        # f^a by exponent a, truncated at the diagram's order; cleared on change
-        self.powers: dict[int, list[int]] = {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -111,7 +128,8 @@ class Wall2:
 
 class ScatteringDiagram2:
     """Walls of Scat^T for a 2x2 exchange matrix with principal coefficients,
-    completed order by order up to tropical degree `order`."""
+    completed up to tropical degree `order` by factoring the initial
+    wall-crossings."""
 
     def __init__(self, b: Rows, order: int = 8):
         if len(b) != 2 or len(b[0]) != 2:
@@ -158,27 +176,17 @@ class ScatteringDiagram2:
     # -- wall crossing -----------------------------------------------------------
 
     def _power(self, wall: Wall2, a: int) -> list[int]:
-        """Coefficients of f^a in t = yhat^normal, a of either sign, truncated
-        to t^K with K = order // (n1 + n2).  f^-1 comes from
-        inv[k] = -sum_{j=1..k} c[j] inv[k-j]; every other power is one factor
-        f (or f^-1) times the cached power of the same sign nearest to a."""
-        pows = wall.powers
-        if not pows:
-            size = self.order // (wall.normal[0] + wall.normal[1]) + 1
-            f = (wall.coeffs + [0] * size)[:size]
-            inv = [1] + [0] * (size - 1)
-            for k in range(1, size):
-                inv[k] = -sum(f[j] * inv[k - j] for j in range(1, k + 1))
-            pows[1], pows[-1] = f, inv
-        step = 1 if a > 0 else -1
-        e = a
-        while e not in pows:
-            e -= step
-        out = pows[e]
-        while e != a:
-            e += step
-            out = pows[e] = _mul_truncated(out, pows[step])
-        return out
+        """Coefficients of f^a in t = yhat^normal for any integer a, truncated
+        to t^K with K = order // (n1 + n2), in one pass: t h' f = a t f' h
+        for h = f^a gives k h[k] = sum_{j=1..k} (a j - (k - j)) f[j] h[k-j],
+        an exact division by k since h is integral.  The sum runs over the
+        nonzero f[j] only, so a binomial wall costs one term per k."""
+        size = self.order // (wall.normal[0] + wall.normal[1]) + 1
+        terms = [(j, c) for j, c in enumerate(wall.coeffs[:size]) if j and c]
+        h = [1] + [0] * (size - 1)
+        for k in range(1, size):
+            h[k] = sum((a * j - (k - j)) * c * h[k - j] for j, c in terms if j <= k) // k
+        return h
 
     def _sign(self, direction: Vec2, wall: Wall2) -> int:
         """The exponent sign of a counterclockwise crossing of the wall's ray
@@ -204,13 +212,16 @@ class ScatteringDiagram2:
         order = self.order
         out: Terms = {}
         get = out.get
+        powers: dict[int, list[int]] = {}
         for m, c in p.items():
             m0, m1 = m
             a = eps * (base + w0 * m0 + w1 * m1)
             if not a:
                 out[m] = get(m, 0) + c
                 continue
-            power = self._power(wall, a)
+            power = powers.get(a)
+            if power is None:
+                power = powers[a] = self._power(wall, a)
             for k in range((order - m0 - m1) // size + 1):
                 pk = power[k]
                 if pk:
@@ -266,52 +277,66 @@ class ScatteringDiagram2:
     # -- completion ------------------------------------------------------------------
 
     def _complete(self) -> None:
-        by_normal: dict[Vec2, Wall2] = {}
-        defects: list[Terms] = []
-        for deg in range(2, self.order + 1):
-            # the walls change only when a degree needs corrections, so the
-            # previous degree's recheck already holds this degree's defects
-            if not defects:
-                defects = [self._defect_terms(gen) for gen in range(2)]
-            needed: dict[Vec2, dict[int, int]] = {}
-            for gen, terms in enumerate(defects):
-                for m, c in terms.items():
-                    total = m[0] + m[1]
-                    if total < deg:
-                        raise InconsistentDiagram(
-                            f"defect at degree {total} survived earlier completion"
-                        )
-                    if total == deg:
-                        needed.setdefault(m, {})[gen] = c
-            for m in sorted(needed):
-                beta = _primitive(m)
-                check = self.coroot(beta)
-                usable = [g for g in (0, 1) if check[g] != 0 and needed[m].get(g)]
-                if not usable:
-                    continue  # the degree-deg recheck below fails loudly if real
-                gen = usable[0]
-                coeff = needed[m][gen]
-                wall = by_normal.get(beta)
-                if wall is None:
-                    top = self.order // (beta[0] + beta[1])
-                    wall = self._wall(
-                        beta, self.outgoing_direction(beta), False, [1] + [0] * top
-                    )
-                    by_normal[beta] = wall
-                    self.walls.append(wall)
-                denom = self._sign(wall.direction, wall) * check[gen]
-                if coeff % denom != 0:
-                    raise InconsistentDiagram("non-integer wall correction")
-                k = m[0] // beta[0] if beta[0] else m[1] // beta[1]
-                wall.coeffs[k] += -coeff // denom
-                wall.powers.clear()
-            if needed:
-                defects = [self._defect_terms(gen) for gen in range(2)]
-                for terms in defects:
-                    if any(m[0] + m[1] <= deg for m in terms):
-                        raise InconsistentDiagram(
-                            f"completion failed to fix degree {deg}"
-                        )
+        """Add the outgoing walls by factoring the initial wall-crossings.
+
+        In rank 2 a diagram is consistent when the loop product is the
+        identity, so the outgoing block of crossings equals the inverse of
+        the initial crossings around it: the Kontsevich-Soibelman
+        factorization into a slope-ordered product (Gross-Pandharipande-
+        Siebert, Quivers, curves, and the tropical vertex, 2010; GHKK, JAMS
+        2018, section 1.2).  Every candidate normal, primitive beta > 0 with
+        |beta| <= order, gets a ray at -B beta, and the block's image of
+        x^{e_1} is read off the inverse crossings of the initial rays.  The
+        block is then peeled from its last crossing back to its first.  The
+        normals of the crossings not yet peeled lie strictly on one side of
+        the last one's beta, so the terms on multiples of beta come from
+        that wall alone: they are f_beta^a with a = eps <e_1, beta-check>,
+        and f_beta is their exact a-th root.  A root 1 means no wall.  The
+        walls kept are listed in the order of the degree, then the
+        exponent, of their first correction, and both loop products are
+        checked once at the end."""
+        b = self.b
+        if b[0][0] or b[0][1] or b[1][0] or b[1][1]:  # B = 0: the initial walls commute
+            self._factor()
+        for gen in range(2):
+            if self._defect_terms(gen):
+                raise InconsistentDiagram(f"completion left a defect on generator {gen}")
+
+    def _factor(self) -> None:
+        """Set the outgoing walls from the factorization of x^{e_1}."""
+        order = self.order
+        initial = self.walls
+        self.walls = initial + [
+            self._wall(beta, self.outgoing_direction(beta), False, [])
+            for total in range(2, order + 1)
+            for beta in ((i, total - i) for i in range(1, total))
+            if gcd(*beta) == 1
+        ]
+        crossings = self._crossings()
+        self.walls = initial
+        block = [i for i, (_, w) in enumerate(crossings) if not w.is_line]
+        if not block:
+            return
+        lo, hi = block[0], block[-1] + 1
+        start = (1, 0)
+        p: Terms = {(0, 0): 1}
+        for direction, wall in reversed(crossings[hi:] + crossings[:lo]):
+            p = self.cross(p, start, wall, -self._sign(direction, wall))
+        kept: list[tuple[tuple[int, Vec2], Wall2]] = []
+        for direction, wall in reversed(crossings[lo:hi]):
+            eps = self._sign(direction, wall)
+            n0, n1 = wall.normal
+            f = _root(
+                [p.get((k * n0, k * n1), 0) for k in range(order // (n0 + n1) + 1)],
+                eps * wall.coroot[0],
+            )
+            k = next((k for k, c in enumerate(f) if k and c), 0)
+            if k:
+                wall.coeffs = f
+                kept.append(((k * (n0 + n1), (k * n0, k * n1)), wall))
+                p = self.cross(p, start, wall, -eps)
+        kept.sort(key=lambda item: item[0])
+        self.walls = initial + [wall for _, wall in kept]
 
 
 def complete_scattering_rank2(b: Rows, order: int = 8) -> ScatteringDiagram2:
@@ -360,6 +385,7 @@ def enumerate_broken_lines_rank2(
     q = lcm(endpoint[0].denominator, endpoint[1].denominator)
     chi = tuple(x.numerator * (q // x.denominator) for x in endpoint)
     out: list[BrokenLine2] = []
+    powers: dict[tuple[Vec2, int], list[int]] = {}  # (normal, |e|) -> f^|e|
 
     def final_check(path, lam_cur) -> bool:
         """Close the line at the endpoint: s_1 and the final travel time to
@@ -394,7 +420,9 @@ def enumerate_broken_lines_rank2(
             # else the unbounded ray travels along -lam_cur and must actually
             # reach the site from its own side; with s_1 free this is always
             # arrangeable except for parallel travel (e == 0).
-            power = diagram._power(wall, abs(e))
+            power = powers.get((wall.normal, abs(e)))
+            if power is None:
+                power = powers[wall.normal, abs(e)] = diagram._power(wall, abs(e))
             beta, step = wall.normal, wall.yhat
             for j in range(1, min(budget // (beta[0] + beta[1]) + 1, len(power))):
                 c = power[j]

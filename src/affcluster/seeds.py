@@ -145,7 +145,9 @@ class ExtendedExchangeMatrix(namedtuple("ExtendedExchangeMatrix", "rows n")):
         return self.rows[self.n :]
 
     def mutate(self, k: int) -> "ExtendedExchangeMatrix":
-        return ExtendedExchangeMatrix(mutate_rows(self.rows, k), self.n)
+        # mutation keeps the skew-symmetrizer (FZ, Cluster algebras I, 4.3),
+        # so the result is built without re-running the constructor's checks
+        return self._make((mutate_rows(self.rows, k), self.n))
 
 
 def mutate_rows(rows: Rows, k: int) -> Rows:

@@ -29,9 +29,19 @@ from affcluster.poly import (
     exact_div,
     substitute,
 )
-from affcluster.scatter2 import ScatteringDiagram2, _sum_monomials, enumerate_broken_lines_rank2
+from affcluster.scatter2 import (
+    InconsistentDiagram,
+    ScatteringDiagram2,
+    Terms,
+    Vec2,
+    Wall2,
+    _primitive,
+    _sum_monomials,
+    enumerate_broken_lines_rank2,
+)
 from affcluster.seeds import (
     RootVec,
+    Rows,
     Seed,
     WeightVec,
     _pos,
@@ -265,6 +275,92 @@ def pair_structure_constant(
             and s1.weight[1] + s2.weight[1] == lam.coords[1]
         ),
     )
+
+
+def mul_truncated(p: List[int], q: List[int]) -> List[int]:
+    """The product of two power series in t, both with len(p) coefficients,
+    truncated to that length."""
+    return [sum(p[j] * q[k - j] for j in range(k + 1)) for k in range(len(p))]
+
+
+class OrderByOrderDiagram(ScatteringDiagram2):
+    """The rank-2 diagram completed order by order: after each degree both
+    loop products are recomputed and their lowest defect terms become wall
+    corrections.  Wall powers are built one truncated factor at a time from
+    f and f^-1 and cached per wall until its function changes."""
+
+    def _power(self, wall: Wall2, a: int) -> List[int]:
+        pows = self.powers.setdefault(wall.normal, {})
+        if not pows:
+            size = self.order // (wall.normal[0] + wall.normal[1]) + 1
+            f = (wall.coeffs + [0] * size)[:size]
+            inv = [1] + [0] * (size - 1)
+            for k in range(1, size):
+                inv[k] = -sum(f[j] * inv[k - j] for j in range(1, k + 1))
+            pows[1], pows[-1] = f, inv
+        step = 1 if a > 0 else -1
+        e = a
+        while e not in pows:
+            e -= step
+        out = pows[e]
+        while e != a:
+            e += step
+            out = pows[e] = mul_truncated(out, pows[step])
+        return out
+
+    def _complete(self) -> None:
+        self.powers: Dict[Vec2, Dict[int, List[int]]] = {}
+        by_normal: Dict[Vec2, Wall2] = {}
+        defects: List[Terms] = []
+        for deg in range(2, self.order + 1):
+            # the walls change only when a degree needs corrections, so the
+            # previous degree's recheck already holds this degree's defects
+            if not defects:
+                defects = [self._defect_terms(gen) for gen in range(2)]
+            needed: Dict[Vec2, Dict[int, int]] = {}
+            for gen, terms in enumerate(defects):
+                for m, c in terms.items():
+                    total = m[0] + m[1]
+                    if total < deg:
+                        raise InconsistentDiagram(
+                            f"defect at degree {total} survived earlier completion"
+                        )
+                    if total == deg:
+                        needed.setdefault(m, {})[gen] = c
+            for m in sorted(needed):
+                beta = _primitive(m)
+                check = self.coroot(beta)
+                usable = [g for g in (0, 1) if check[g] != 0 and needed[m].get(g)]
+                if not usable:
+                    continue  # the degree-deg recheck below fails loudly if real
+                gen = usable[0]
+                coeff = needed[m][gen]
+                wall = by_normal.get(beta)
+                if wall is None:
+                    top = self.order // (beta[0] + beta[1])
+                    wall = self._wall(
+                        beta, self.outgoing_direction(beta), False, [1] + [0] * top
+                    )
+                    by_normal[beta] = wall
+                    self.walls.append(wall)
+                denom = self._sign(wall.direction, wall) * check[gen]
+                if coeff % denom != 0:
+                    raise InconsistentDiagram("non-integer wall correction")
+                k = m[0] // beta[0] if beta[0] else m[1] // beta[1]
+                wall.coeffs[k] += -coeff // denom
+                self.powers.pop(beta, None)
+            if needed:
+                defects = [self._defect_terms(gen) for gen in range(2)]
+                for terms in defects:
+                    if any(m[0] + m[1] <= deg for m in terms):
+                        raise InconsistentDiagram(
+                            f"completion failed to fix degree {deg}"
+                        )
+
+
+def complete_order_by_order(b: Rows, order: int) -> OrderByOrderDiagram:
+    """The rank-2 diagram by the order-by-order completion."""
+    return OrderByOrderDiagram(b, order)
 
 
 # -- theta: the dominance chain -----------------------------------------------

@@ -178,6 +178,33 @@ def test_scatter2_and_theta2(tmp_path, capsys):
     assert json.loads(out)["theta"].count("+") == 2
 
 
+def test_scatter2_and_theta2_on_the_zero_matrix(tmp_path, capsys):
+    # B = 0: no outgoing direction, the initial walls commute and the diagram
+    # is its two lines at every order; theta2 bends once on each line
+    path = tmp_path / "zero.json"
+    path.write_text('{"n": 2, "m": 2, "rows": [[0, 0], [0, 0], [1, 0], [0, 1]]}')
+    line = "{{'normal': [{}], 'direction': [{}], 'line': True, 'series': {{'vars': " \
+        "['x1', 'x2', 'u1', 'u2'], 'terms': [{{'c': '1', 'e': [{}]}}, {{'c': '1', 'e': [0, 0, 0, 0]}}]}}}}"
+    walls = f"[{line.format('1, 0', '0, 1', '0, 0, 1, 0')}, {line.format('0, 1', '1, 0', '0, 0, 0, 1')}]"
+    for order in (0, 1, 2, 6):
+        assert main(["scatter2", "--matrix", str(path), "--order", str(order)]) == 0
+        assert capsys.readouterr() == (f"order: {order}\nwalls: {walls}\n", "")
+    expected = {
+        "1,0": ("[{'c': '1', 'e': [1, 0, 0, 0]}]", "x1"),
+        "-1,1": ("[{'c': '1', 'e': [-1, 1, 1, 0]}, {'c': '1', 'e': [-1, 1, 0, 0]}]",
+                 "x1^-1*x2*u1 + x1^-1*x2"),
+        "-2,3": ("[{'c': '1', 'e': [-2, 3, 2, 0]}, {'c': '2', 'e': [-2, 3, 1, 0]}, "
+                 "{'c': '1', 'e': [-2, 3, 0, 0]}]", "x1^-2*x2^3*u1^2 + 2*x1^-2*x2^3*u1 + x1^-2*x2^3"),
+    }
+    for lam, (terms, theta) in expected.items():
+        assert main(["theta2", "--matrix", str(path), f"--lambda={lam}", "--order", "6"]) == 0
+        assert capsys.readouterr() == (
+            f"json: {{'vars': ['x1', 'x2', 'u1', 'u2'], 'terms': {terms}}}\n"
+            f"lambda: [{lam.replace(',', ', ')}]\ntheta: {theta}\n",
+            "",
+        )
+
+
 def test_scatter2_order_zero_keeps_initial_binomials(capsys):
     # at order 0 nothing is completed, and the initial walls print their
     # untruncated functions 1 + yhat1 and 1 + yhat2

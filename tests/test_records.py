@@ -112,8 +112,6 @@ def test_record_semantics(name):
     assert cls.__name__ == name
     r, same, other = cls(*values), cls(*values), cls(*other_values)
     assert tuple(getattr(r, f) for f in fields) == values
-    if cls is Wall2:
-        same.powers[2] = [1, 2, 1]  # a cache: left out of == and repr
     assert r == same and not r != same
     assert r != other and not r == other
     shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))

@@ -9,15 +9,23 @@ from affcluster.poly import LaurentPoly, default_context
 from affcluster.scatter2 import (
     DEFAULT_ENDPOINT,
     InconsistentDiagram,
+    ScatteringDiagram2,
     _cross,
     _primitive,
+    _root,
     complete_scattering_rank2,
     enumerate_broken_lines_rank2,
     theta_via_broken_lines,
 )
 from affcluster.seeds import WeightVec, coroot_scalers, primitive_coroot
 from affcluster.theta import ThetaEngine
-from reference import consistency_defects, pair_structure_constant, truncate
+from reference import (
+    complete_order_by_order,
+    consistency_defects,
+    mul_truncated,
+    pair_structure_constant,
+    truncate,
+)
 
 B_KRON = ((0, 2), (-2, 0))
 B_41 = ((0, 4), (-1, 0))
@@ -446,3 +454,65 @@ def test_integer_bend_geometry_matches_reference_at_other_endpoints():
             for lam in [(1, 0), (-1, 1), (2, -1), (-2, 3), (0, -1)]:
                 got = theta_via_broken_lines(d, WeightVec(lam), chi)
                 assert got == _reference_theta(ref, lam, chi), (b, chi, lam)
+
+
+# -- the factorization against the order-by-order completion -------------------
+
+ZERO = ((0, 0), (0, 0))
+WILD_51, WILD_51T = ((0, 5), (-1, 0)), ((0, -5), (1, 0))
+
+
+def _walls(d):
+    return [(w.normal, w.direction, w.is_line, w.coeffs) for w in d.walls]
+
+
+@pytest.mark.parametrize(
+    "b",
+    RANK2 + [KRON_T, A2, B2, C2, G2, WILD_33, ZERO, WILD_51, WILD_51T],
+    ids=["kron", "41", "14", "kron-t", "A2", "B2", "C2", "G2", "wild33", "zero", "wild51", "wild51t"],
+)
+def test_factorization_matches_order_by_order_completion(b):
+    for order in range(17):
+        assert _walls(complete_scattering_rank2(b, order)) == _walls(complete_order_by_order(b, order))
+
+
+def test_zero_matrix_keeps_its_two_initial_lines():
+    # no normal has an outgoing direction when B = 0, and none is needed
+    for order in range(17):
+        d = complete_scattering_rank2(ZERO, order)
+        assert _walls(d) == [((1, 0), (0, 1), True, [1, 1]), ((0, 1), (1, 0), True, [1, 1])]
+        assert all(not x for x in consistency_defects(d))
+
+
+def test_power_and_root_match_truncated_multiplication(rng):
+    d = complete_scattering_rank2(B_41, 12)
+    ref = complete_order_by_order(B_41, 12)
+    walls = list(d.walls) + [
+        d._wall((1, 1), (-1, 1), False, [1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 7))])
+        for _ in range(30)
+    ]
+    for wall in walls:
+        size = d.order // (wall.normal[0] + wall.normal[1]) + 1
+        f = (wall.coeffs + [0] * size)[:size]
+        one = [1] + [0] * (size - 1)
+        ref.powers.clear()
+        for a in range(-7, 8):
+            power = d._power(wall, a)
+            assert power == ref._power(wall, a)
+            assert mul_truncated(power, d._power(wall, -a)) == one
+            if a:
+                assert _root(power, a) == f
+    assert d._power(walls[-1], 3) == mul_truncated(mul_truncated(f, f), f)
+
+
+@pytest.mark.parametrize("h, a", [([1, 1], 2), ([1, 3, 0], -2), ([1, 0, 1], 2), ([1, 2, 3, 5], 3)])
+def test_root_refuses_a_series_with_no_integer_root(h, a):
+    with pytest.raises(InconsistentDiagram, match="non-integer wall correction"):
+        _root(h, a)
+
+
+def test_completion_checks_both_loop_products(monkeypatch):
+    # walls that do not factor the initial crossings fail the final check
+    monkeypatch.setattr(ScatteringDiagram2, "_factor", lambda self: None)
+    with pytest.raises(InconsistentDiagram, match="defect on generator 0"):
+        complete_scattering_rank2(B_KRON, 4)

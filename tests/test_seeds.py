@@ -167,6 +167,22 @@ def test_mutation_preserves_symmetrizers():
             assert coroot_scalers(rows) == e
 
 
+def test_mutation_skips_the_symmetrizer_check(monkeypatch):
+    # mutate builds its result without re-certifying the symmetrizer, which
+    # mutation keeps; the constructor still certifies every other matrix
+    seed = initial_seed(principal_extension(B_A2T))
+    calls = []
+    check = seeds.coroot_scalers
+    monkeypatch.setattr(seeds, "coroot_scalers", lambda b: calls.append(b) or check(b))
+    mutated = mutate_seed_word(seed, [0, 1, 2, 1, 0, 2])
+    assert not calls
+    assert coroot_scalers(mutated.matrix.top()) == coroot_scalers(B_A2T)
+    assert type(mutated.matrix) is ExtendedExchangeMatrix
+    with pytest.raises(NonSkewSymmetrizable):
+        ExtendedExchangeMatrix(((0, 1), (1, 0), (1, 0), (0, 1)), 2)
+    assert len(calls) == 1
+
+
 def _random_exchange_matrix(rng, kind):
     """A random n x n matrix: skew-symmetrizable (with a random symmetrizer
     and a random, possibly disconnected, support), or such a matrix with one
