@@ -36,9 +36,7 @@ from .seeds import (
     NotFound,
     RootVec,
     WeightVec,
-    g_vector_of,
-    initial_seed,
-    mutate_seed_word,
+    mutate_principal,
     principal_extension,
 )
 from .theta import IdentityViolated, ThetaEngine
@@ -144,12 +142,14 @@ def cmd_mutate(args) -> int:
 
 def cmd_gvec(args) -> int:
     matrix = load_matrix(args.matrix)
-    # g-vectors are read off pointed forms, which need principal coefficients.
+    # the recursion's signs are the c-vectors, which are the columns of the
+    # coefficient rows only when these start as the identity
     if matrix != principal_extension(matrix.top()):
         raise ConfigError("gvec needs principal coefficients (an identity block below B)")
-    seed = mutate_seed_word(initial_seed(matrix), parse_word(args.word, matrix.n))
-    gvecs = [list(g_vector_of(seed, i).coords) for i in range(matrix.n)]
-    emit({"gvectors": gvecs}, args.format)
+    rows, g = matrix.rows, matrix.bottom()  # G starts as the identity, as C does
+    for k in parse_word(args.word, matrix.n):
+        rows, g = mutate_principal(rows, g, k)
+    emit({"gvectors": [list(v) for v in g]}, args.format)
     return 0
 
 
@@ -201,15 +201,14 @@ def cmd_expand(args) -> int:
 
 
 def _parse_target(eng: ThetaEngine, text: str) -> WeightVec:
+    """Weight coordinates, or exactly delta or k*delta, k as parse_int reads it."""
     text = text.strip()
-    if text.endswith("delta"):
-        head = text[: -len("delta")].rstrip("* ")
-        try:
-            k = parse_int(head) if head else 1
-        except ConfigError as exc:
-            raise ConfigError(f"bad target: {text}") from exc
-        return eng.nu_delta.scale(k)
-    return WeightVec(tuple(parse_vec(text, eng.n)))
+    if not text.endswith("delta"):
+        return WeightVec(tuple(parse_vec(text, eng.n)))
+    head, star, tail = text.rpartition("*")
+    if tail.strip() != "delta" or (star and _INT.fullmatch(head) is None):
+        raise ConfigError(f"bad target: {text}")
+    return eng.nu_delta.scale(int(head) if star else 1)
 
 
 def cmd_theta(args) -> int:

@@ -44,7 +44,7 @@ from .affine import (
     nonmax_root_data,
 )
 from .poly import NonInvertibleImage
-from .seeds import RootVec, mutate_g, mutate_rows
+from .seeds import RootVec, mutate_principal
 
 ZKey = tuple  # ("z", tube_index, orbit_position) or ("star",)
 ZExp = tuple[int, ...]  # a coefficient: its exponents over a seed's zkeys
@@ -213,8 +213,7 @@ def gca_mutate(seed: GCASeed, k: int) -> GCASeed:
                 tuple(a + e1 * f + e2 * g - m for a, f, g, m in zip(pj[ell], first, last, denom))
             )
         new_p.append(tuple(row))
-    rows = mutate_rows(seed.b + seed.c, k)
-    g = mutate_g(seed.g, k, [row[k] for row in seed.b], [row[k] for row in seed.c])
+    rows, g = mutate_principal(seed.b + seed.c, seed.g, k)
     out = GCASeed(seed.zkeys, g, rows[rank:], tuple(new_p), rows[:rank], seed.d)
     out.validate()
     return out

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
 
@@ -346,7 +345,8 @@ def complete_scattering_rank2(b: Rows, order: int = 8) -> ScatteringDiagram2:
 
 # -- broken lines ----------------------------------------------------------------
 
-DEFAULT_ENDPOINT = (Fraction(9974, 9973), Fraction(19803, 9901))  # ~ rho1 + 2 rho2
+# (9974/9973, 19803/9901) ~ rho1 + 2 rho2, times 9973 * 9901: the tests read only its ray
+DEFAULT_ENDPOINT = (9974 * 9901, 19803 * 9973)
 
 
 class BrokenLine2(namedtuple("BrokenLine2", "picks coeff weight tropical")):
@@ -360,7 +360,7 @@ class BrokenLine2(namedtuple("BrokenLine2", "picks coeff weight tropical")):
 def enumerate_broken_lines_rank2(
     diagram: ScatteringDiagram2,
     lam: WeightVec,
-    endpoint: tuple[Fraction, Fraction] = DEFAULT_ENDPOINT,
+    endpoint: Vec2 = DEFAULT_ENDPOINT,
 ) -> list[BrokenLine2]:
     """All broken lines for lam with the given generic endpoint, up to the
     diagram's tropical order.
@@ -377,8 +377,8 @@ def enumerate_broken_lines_rank2(
     -s_i cross(w_prev, w) / cross(w, lam), and from the last bend to the
     endpoint chi it is -cross(w_last, chi) / cross(w_last, lam), with
     s_1 > 0 exactly when cross(chi, lam) / cross(w_last, lam) is.  So the
-    magnitude of each multiple never matters, and chi enters scaled by the
-    common denominator of its coordinates."""
+    magnitude of each multiple never matters, and chi (ints or Fractions)
+    enters scaled by the common denominator of its coordinates."""
     if lam.coords == (0, 0):
         raise ValueError("lambda must be nonzero")
     sites = diagram._sites()
@@ -451,7 +451,7 @@ def _sum_monomials(ctx: VarContext, monomials) -> LaurentPoly:
 def theta_via_broken_lines(
     diagram: ScatteringDiagram2,
     lam: WeightVec,
-    endpoint: tuple[Fraction, Fraction] = DEFAULT_ENDPOINT,
+    endpoint: Vec2 = DEFAULT_ENDPOINT,
 ) -> LaurentPoly:
     """Sum of final monomials over broken lines (truncated theta function)."""
     if lam.coords == (0, 0):

@@ -4,12 +4,11 @@ Matrices are tall: n+m rows by n columns, the top n x n block being the
 exchange matrix proper and the remaining m rows the coefficient part.
 All indices in this module are 0-based; the CLI converts from 1-based.
 
-All arithmetic is integer: the skew-symmetrizer is decided by coroot_scalers
-and the g-vector search runs on integer G-matrices: it keys a seed on the
-set of its g-vectors, which determines the seed up to relabeling, so it
-visits each seed of the exchange graph once whatever its labeling; it
-builds the seed's extended exchange matrix only when it expands that seed
-(ThetaEngine.theta_gfan turns a g-vector into its cluster variable).
+All arithmetic is integer: the skew-symmetrizer is decided by coroot_scalers,
+and every g-vector comes from the G-matrix recursion (mutate_g), stepped
+along a word by mutate_principal and over the exchange graph by the g-vector
+search.  The Laurent seed (Seed, mutate_seed) is only the source of the
+cluster variable that ThetaEngine.theta_gfan builds at a g-vector.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .poly import (
     VarContext,
     default_context,
     exact_div,
-    pointed_form,
 )
 
 Rows = tuple[tuple[int, ...], ...]
@@ -316,12 +314,6 @@ def mutation_map_eta(b: Rows, word: Sequence[int], v: WeightVec) -> WeightVec:
     return WeightVec(rows[n])
 
 
-def g_vector_of(seed: Seed, i: int) -> WeightVec:
-    """Pointed exponent of cluster variable i (principal coefficients)."""
-    g, _tail = pointed_form(seed.cluster[i])
-    return WeightVec(g)
-
-
 # -- g-vector search ---------------------------------------------------------
 
 def mutate_g(g: Rows, k: int, col: Sequence[int], c_vec: Sequence[int]) -> Rows:
@@ -341,6 +333,14 @@ def mutate_g(g: Rows, k: int, col: Sequence[int], c_vec: Sequence[int]) -> Rows:
         if c > 0:
             g_k = [x + c * y for x, y in zip(g_k, gj)]
     return g[:k] + (tuple(g_k),) + g[k + 1 :]
+
+
+def mutate_principal(rows: Rows, g: Rows, k: int) -> tuple[Rows, Rows]:
+    """Mutation in direction k of B-tilde's 2n rows (B over C) and of the
+    g-vectors g, one per position, by the G-matrix recursion, which reads
+    column k of B and of C before they mutate."""
+    col = [row[k] for row in rows]
+    return mutate_rows(rows, k), mutate_g(g, k, col, col[len(g) :])
 
 
 def enumerate_gvector_frontier(matrix: ExtendedExchangeMatrix, depth: int):

@@ -3,7 +3,8 @@
 The package holds only what the CLI and the engine run.  The oracles for the
 paper's claims (denominator vectors, the dominance chain, theta mutation by
 rewriting in the mutated variables, rank-2 structure constants from broken
-lines), the Laurent cluster variables of tube generalized seeds, the forms
+lines), g-vectors read off the pointed forms of Laurent cluster variables,
+the Laurent cluster variables of tube generalized seeds, the forms
 in Fraction, the dual Coxeter action on weights and the division by shifting
 to ordinary polynomials live here.  A function that was
 a method takes its object as its first parameter.
@@ -27,6 +28,7 @@ from affcluster.poly import (
     NotDivisible,
     VarContext,
     exact_div,
+    pointed_form,
     substitute,
 )
 from affcluster.scatter2 import (
@@ -109,6 +111,12 @@ def denominator_vector_of(p: LaurentPoly) -> RootVec:
             if best[i] is None or v > best[i]:
                 best[i] = v
     return RootVec(tuple(int(x) for x in best))  # type: ignore[arg-type]
+
+
+def g_vector_of(seed: Seed, i: int) -> WeightVec:
+    """Pointed exponent of cluster variable i (principal coefficients)."""
+    g, _tail = pointed_form(seed.cluster[i])
+    return WeightVec(g)
 
 
 def seed_key(seed: Seed):

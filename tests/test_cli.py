@@ -4,11 +4,13 @@ import json
 
 import pytest
 
-from affcluster import cli
+from affcluster import cli, seeds
 from affcluster.cli import main
 from affcluster.poly import NotPointed
-from affcluster.seeds import principal_extension
+from affcluster.seeds import initial_seed, mutate_seed_word, principal_extension
 from affcluster.theta import ThetaEngine
+from reference import g_vector_of
+from test_affine import AFFINE_TYPES
 
 
 def run(capsys, *argv):
@@ -41,6 +43,38 @@ def test_gvec(capsys):
     code, out = run(capsys, "gvec", "--matrix", "a1t22", "--word", "1", "--format", "json")
     assert code == 0
     assert json.loads(out)["gvectors"] == [[-1, 2], [0, 1]]
+
+
+def test_gvec_matches_pointed_forms_of_replayed_seeds(rng, tmp_path, capsys):
+    # the integer G-matrix recursion against the g-vectors read off the
+    # Laurent cluster variables of the seed the word reaches
+    sources = list(cli.BUNDLED)
+    for name, (b, _, _) in sorted(AFFINE_TYPES.items()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cli.matrix_json(principal_extension(b))))
+        sources.append(str(path))
+    for source in sources:
+        matrix = cli.load_matrix(source)
+        for _ in range(10):
+            word = [rng.randrange(matrix.n) for _ in range(rng.randint(0, 8))]
+            seed = mutate_seed_word(initial_seed(matrix), word)
+            want = [list(g_vector_of(seed, i).coords) for i in range(matrix.n)]
+            argv = ("gvec", "--matrix", source, "--word", ",".join(str(k + 1) for k in word))
+            code, out = run(capsys, *argv, "--format", "json")
+            assert (code, json.loads(out)) == (0, {"gvectors": want})
+            assert run(capsys, *argv) == (0, f"gvectors: {want}\n")
+
+
+def test_gvec_runs_no_laurent_mutation(monkeypatch, capsys):
+    def laurent(seed, k):
+        raise AssertionError("gvec mutated a Laurent seed")
+
+    monkeypatch.setattr(seeds, "mutate_seed", laurent)
+    # 49 letters, then back: mutation is an involution, so G is the identity
+    coxeter = ",".join(["1,2,3,4,5,6,7"] * 7)
+    code, out = run(capsys, "gvec", "--matrix", "e6t", "--word", f"{coxeter},{coxeter[::-1]}")
+    ident = [[int(i == j) for j in range(7)] for i in range(7)]
+    assert (code, out) == (0, f"gvectors: {ident}\n")
 
 
 def test_malformed_matrix_exits_2(tmp_path, capsys):
@@ -150,6 +184,14 @@ def test_verify_imexch(capsys):
     assert code == 0
 
 
+def test_verify_prints_text_under_format_json(capsys):
+    # verify takes --format, as every subcommand does, but prints its
+    # "name: ok" lines either way; the benchmark's sweep passes --format json
+    for fixture in ("a1t22", "a2t", "c2t"):
+        argv = ("verify", "--matrix", fixture, "--kmax", "2")
+        assert run(capsys, *argv, "--format", "json") == run(capsys, *argv, "--format", "text")
+
+
 def test_verify_all_on_c2t(capsys):
     code, out = run(capsys, "verify", "--matrix", "c2t")
     assert code == 0
@@ -162,6 +204,19 @@ def test_theta_subcommand(capsys):
     blob = json.loads(out)
     assert blob["label"] == [-1, 1]
     assert len(blob["json"]["terms"]) == 3
+
+
+def test_theta_target_spellings(capsys):
+    for target, label in [
+        ("delta", [-1, 1]),
+        (" delta ", [-1, 1]),
+        ("1*delta", [-1, 1]),
+        ("2*delta", [-2, 2]),
+        (" 2 * delta", [-2, 2]),
+        ("2*  delta", [-2, 2]),
+    ]:
+        code, out = run(capsys, "theta", "--matrix", "a1t22", "--target", target, "--format", "json")
+        assert code == 0 and json.loads(out)["label"] == label
 
 
 def test_scatter2_and_theta2(tmp_path, capsys):
@@ -296,6 +351,11 @@ def test_non_affine_matrix_exits_2(tmp_path, capsys):
         ("scatter2", "--matrix", "a1t22", "--order", "1_2"),
         ("verify", "--matrix", "a2t", "--identity", "cheby", "--kmax", "0_2"),
         ("gca-graph", "--matrix", "a3t", "--tube", "0_0"),
+        # a target on the imaginary ray is exactly delta or k*delta
+        ("theta", "--matrix", "a3t", "--target", "*delta"),
+        ("theta", "--matrix", "a3t", "--target", "2**delta"),
+        ("theta", "--matrix", "a3t", "--target", "2delta"),
+        ("theta", "--matrix", "a3t", "--target", "2 delta"),
     ],
 )
 def test_malformed_word_vector_or_index_exits_2(capsys, argv):

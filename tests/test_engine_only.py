@@ -55,7 +55,8 @@ def test_every_definition_in_src_is_used_or_exported():
     assert unused == []
 
 
-def test_only_the_broken_line_endpoint_uses_fractions():
+def test_no_src_module_imports_fractions():
+    # the broken-line endpoint, the last rational, is an integer point
     importers = set()
     for path, tree in _parse(SRC).items():
         for node in ast.walk(tree):
@@ -63,4 +64,4 @@ def test_only_the_broken_line_endpoint_uses_fractions():
                 importers.add(path.name)
             elif isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
                 importers.add(path.name)
-    assert importers == {"scatter2.py"}
+    assert importers == set()

@@ -16,7 +16,6 @@ from affcluster.seeds import (
     WeightVec,
     coroot_scalers,
     enumerate_gvector_frontier,
-    g_vector_of,
     initial_seed,
     mutate_rows,
     mutate_seed,
@@ -29,6 +28,7 @@ from reference import (
     clear_tropical,
     denominator_vector_of,
     enumerate_seeds,
+    g_vector_of,
     rewrite_in_mutated_variables,
 )
 from test_affine import AFFINE_TYPES
